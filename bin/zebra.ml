@@ -411,8 +411,9 @@ let chaos_cmd =
     let doc =
       "Fault plan: comma-separated $(b,drop=P), $(b,delay=P:K), $(b,dup=P), \
        $(b,reorder=P), $(b,lose=P), $(b,corrupt=P), $(b,crash=NODE:FROM-TO), \
-       $(b,partition=A|B:FROM-TO) (split the replicas A|B for the window, heal by \
-       fork-choice), $(b,byzmine=NODE:MODE) (byzantine miner; MODE is $(b,reorder), \
+       $(b,partition=A|B:FROM-TO[:LEAD]) (split the replicas A|B for the window, heal by \
+       fork-choice; LEAD $(b,majority) or $(b,minority) makes that side's branch one \
+       block longer, so it wins), $(b,byzmine=NODE:MODE) (byzantine miner; MODE is $(b,reorder), \
        $(b,censor) or $(b,fork)), $(b,eclipse=WORKER:FROM-TO) (hold one worker's \
        transactions for the window), $(b,collude=K) (the last K workers submit an \
        identical deviant answer), $(b,withhold), $(b,noinstruct); or $(b,none)."

@@ -44,13 +44,15 @@ let meets_difficulty h d = d <= 0 || leading_zero_bits (hash_header h) >= d
 
 let hash b = hash_header b.header
 
+let rec grind difficulty h =
+  if meets_difficulty h difficulty then h else grind difficulty { h with nonce = h.nonce + 1 }
+
 let make ?(difficulty = 0) ~height ~prev_hash ~state_root txs =
   let base = { height; prev_hash; state_root; tx_root = tx_root txs; nonce = 0 } in
-  let rec grind nonce =
-    let h = { base with nonce } in
-    if meets_difficulty h difficulty then h else grind (nonce + 1)
-  in
-  { header = grind 0; txs }
+  { header = grind difficulty base; txs }
+
+let reseal ?(difficulty = 0) b =
+  { b with header = grind difficulty { b.header with nonce = b.header.nonce + 1 } }
 
 
 let validate ?(difficulty = 0) ~prev_hash ~prev_height b =

@@ -24,6 +24,10 @@ val genesis_hash : bytes
 val make :
   ?difficulty:int -> height:int -> prev_hash:bytes -> state_root:bytes -> Tx.t list -> t
 
+(** [reseal ?difficulty b] is [b] with the next seal: the smallest nonce
+    above [b]'s own that meets the target.  Same content, new hash. *)
+val reseal : ?difficulty:int -> t -> t
+
 (** Header hash. *)
 val hash : t -> bytes
 

@@ -19,14 +19,18 @@ type node = {
 
 type mempool_fault = height:int -> Tx.t list -> Tx.t list * (int * Tx.t) list
 
+type side = Majority | Minority
+
 (* An active partition: the minority side mines its own branch off the last
    common block.  Both sides extend by one block per clock tick, so the two
-   branches have equal length at heal time and the fork-choice tie-break
-   (lexicographically smaller tip hash) decides the winner — chain height
-   never moves backwards across a heal. *)
+   branches have equal length at heal time unless one side has the lead:
+   on the first tick the minority then seals no block (majority lead) or
+   two (minority lead).  Length decides, and only equal lengths fall to the
+   tip-hash tie-break — chain height never moves backwards across a heal. *)
 type partition_state = {
   p_minority : int list;  (* node ids on the minority side; never node 0 *)
   p_fork_height : int;  (* height of the last common block *)
+  p_lead : side option;
   mutable p_chain : Block.t list;  (* minority branch, newest first *)
 }
 
@@ -205,7 +209,33 @@ let rebuild_from_chain t =
 
 let partition_active t = t.partition <> None
 
-let start_partition t ~minority =
+(* The minority extends its own (empty) branch — the mempool lives on the
+   majority side.  Every live minority replica executes the block and all
+   must land on one root. *)
+let extend_minority t p =
+  match Array.to_list t.nodes |> List.filter (fun n -> n.up && List.mem n.id p.p_minority) with
+  | [] -> ()
+  | nodes ->
+    let h = p.p_fork_height + List.length p.p_chain + 1 in
+    List.iter (fun node -> ignore (Exec.apply_block node.state ~height:h [])) nodes;
+    let root = State.root (List.hd nodes).state in
+    List.iter
+      (fun node ->
+        if not (Bytes.equal (State.root node.state) root) then
+          raise (Consensus_failure (Printf.sprintf "minority branch diverges at height %d" h)))
+      nodes;
+    List.iter (fun node -> node.applied_height <- h) nodes;
+    let prev_hash =
+      match p.p_chain with
+      | b :: _ -> Block.hash b
+      | [] ->
+        if p.p_fork_height = 0 then Block.genesis_hash
+        else Block.hash (List.nth t.chain (height t - p.p_fork_height))
+    in
+    p.p_chain <-
+      Block.make ~difficulty:t.difficulty ~height:h ~prev_hash ~state_root:root [] :: p.p_chain
+
+let start_partition ?lead t ~minority =
   if t.partition <> None then invalid_arg "Network.start_partition: partition already active";
   let n = Array.length t.nodes in
   let minority = List.sort_uniq compare minority in
@@ -216,7 +246,8 @@ let start_partition t ~minority =
     (fun id -> if id < 0 || id >= n then invalid_arg "Network.start_partition: no such node")
     minority;
   if List.length minority >= n then invalid_arg "Network.start_partition: minority too large";
-  t.partition <- Some { p_minority = minority; p_fork_height = height t; p_chain = [] }
+  t.partition <-
+    Some { p_minority = minority; p_fork_height = height t; p_lead = lead; p_chain = [] }
 
 type heal_report = { adopted_fork : bool; reorged_blocks : int; requeued_txs : int }
 
@@ -284,8 +315,13 @@ let heal_partition t =
    parent, same height, permuted transactions).  Between two equal-length
    chains the fork choice is the lexicographically smaller tip hash, so
    the sibling is adopted — a one-block reorg — exactly when its hash
-   sorts below the honest tip's.  [None] means there was nothing to fork
-   (no tip, an active partition, or an identity permutation). *)
+   sorts below the honest tip's.  The miner re-seals the sibling up to
+   [sibling_reseals] times to get there: each seal is a fresh uniform hash,
+   so it loses only to a tip hashing in about the lowest 2^-16 of the
+   range.  [None] means there was nothing to fork (no tip, an active
+   partition, or an identity permutation). *)
+let sibling_reseals = 1 lsl 16
+
 let fork_tip t ~permute =
   match t.chain with
   | [] -> None
@@ -307,11 +343,18 @@ let fork_tip t ~permute =
         (List.rev rest);
       let h = tip.Block.header.Block.height in
       List.iter (fun tx -> ignore (State.apply_tx st ~height:h tx)) txs';
-      let sibling =
-        Block.make ~difficulty:t.difficulty ~height:h
-          ~prev_hash:tip.Block.header.Block.prev_hash ~state_root:(State.root st) txs'
+      let beats b = Bytes.compare (Block.hash b) (Block.hash tip) < 0 in
+      let rec reseal b tries =
+        if beats b || tries = 0 then b
+        else reseal (Block.reseal ~difficulty:t.difficulty b) (tries - 1)
       in
-      if Bytes.compare (Block.hash sibling) (Block.hash tip) < 0 then begin
+      let sibling =
+        reseal
+          (Block.make ~difficulty:t.difficulty ~height:h
+             ~prev_hash:tip.Block.header.Block.prev_hash ~state_root:(State.root st) txs')
+          sibling_reseals
+      in
+      if beats sibling then begin
         t.chain <- sibling :: rest;
         rebuild_from_chain t;
         Some true
@@ -355,10 +398,19 @@ let fee_order txs =
 
 let mine_ext t =
   Obs.with_span "chain.mine" @@ fun () ->
-  let new_height = height t + 1 in
   (* The block hook fires before the block forms so a fault controller can
-     take a replica down (or bring one back) effective this very height. *)
-  (match t.block_hook with None -> () | Some f -> f ~height:new_height);
+     take a replica down (or bring one back) effective this very height.  A
+     heal that adopts a longer branch moves the tip, so the hook fires
+     again for each height it has not seen. *)
+  (match t.block_hook with
+  | None -> ()
+  | Some f ->
+    let rec fire h =
+      f ~height:h;
+      if height t + 1 > h then fire (height t + 1)
+    in
+    fire (height t + 1));
+  let new_height = height t + 1 in
   let fifo = List.rev t.mempool in
   t.mempool <- [];
   Obs.Gauge.set m_mempool_depth 0.;
@@ -445,43 +497,17 @@ let mine_ext t =
   Obs.Counter.incr m_blocks;
   (* The partitioned minority mines one block per tick too — empty, since
      the mempool lives on the majority side — so both branches grow at the
-     same rate and the heal-time fork choice comes down to the tip-hash
-     tie-break. *)
+     same rate.  A lead changes only the minority's first tick, so the
+     canonical chain still grows one block per call. *)
   (match t.partition with
   | None -> ()
-  | Some p ->
-    let m_live =
-      Array.to_list t.nodes |> List.filter (fun n -> n.up && List.mem n.id p.p_minority)
-    in
-    (match m_live with
-    | [] -> ()
-    | _ ->
-      let m_height = p.p_fork_height + List.length p.p_chain + 1 in
-      List.iter
-        (fun node -> ignore (Exec.apply_block node.state ~height:m_height []))
-        m_live;
-      let roots = List.map (fun node -> State.root node.state) m_live in
-      let root0 = List.hd roots in
-      List.iter
-        (fun r ->
-          if not (Bytes.equal r root0) then
-            raise
-              (Consensus_failure
-                 (Printf.sprintf "minority branch diverges at height %d" m_height)))
-        roots;
-      let prev =
-        match p.p_chain with
-        | b :: _ -> Block.hash b
-        | [] ->
-          if p.p_fork_height = 0 then Block.genesis_hash
-          else Block.hash (List.nth t.chain (height t - p.p_fork_height))
-      in
-      let mblock =
-        Block.make ~difficulty:t.difficulty ~height:m_height ~prev_hash:prev
-          ~state_root:root0 []
-      in
-      p.p_chain <- mblock :: p.p_chain;
-      List.iter (fun n -> n.applied_height <- m_height) m_live));
+  | Some p -> (
+    match p.p_lead with
+    | Some Majority when new_height = p.p_fork_height + 1 -> ()
+    | Some Minority when new_height = p.p_fork_height + 1 ->
+      extend_minority t p;
+      extend_minority t p
+    | _ -> extend_minority t p));
   let rs = List.hd all_receipts in
   (* First-wins per transaction hash: a duplicated transaction (fault
      injection) re-executes and fails on nonce replay, but must not

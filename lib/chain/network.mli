@@ -109,17 +109,26 @@ val node_up : t -> int -> bool
     keeps the mempool and mines the candidate branch) and a minority side
     (which mines empty blocks on its own branch at the same rate).  At
     heal time the {e fork choice} picks the longer branch; equal lengths
-    break the tie toward the lexicographically smaller tip hash.  When the
+    break the tie toward the lexicographically smaller tip hash.  Giving
+    one side the lead makes length, not the tie-break, decide.  When the
     minority branch wins, the orphaned majority transactions rejoin the
     front of the mempool and every replica, receipt and log is rebuilt by
     a deterministic replay of the adopted chain. *)
 
-(** [start_partition t ~minority] cuts the given replica ids off from the
-    mempool and the majority branch, starting with the next mined block.
+(** A side of a partition. *)
+type side = Majority | Minority
+
+(** [start_partition ?lead t ~minority] cuts the given replica ids off
+    from the mempool and the majority branch, starting with the next mined
+    block.  With [lead] that side's branch is one block longer at the
+    heal, so it wins on length whatever the tip hashes: on the first tick
+    the minority seals no block ([Majority]: the canonical chain is kept)
+    or two ([Minority]: the minority branch is adopted).  The canonical
+    chain itself grows exactly one block per {!mine_ext} either way.
     @raise Invalid_argument if a partition is already active, [minority]
     is empty or covers all nodes, contains node 0 (the canonical read
     replica stays on the majority side), or names an unknown node. *)
-val start_partition : t -> minority:int list -> unit
+val start_partition : ?lead:side -> t -> minority:int list -> unit
 
 val partition_active : t -> bool
 
@@ -131,7 +140,9 @@ type heal_report = {
 
 (** [heal_partition t] reconnects the sides, runs the fork choice and
     replays the losing side onto the winning branch.  The chain height
-    never decreases: both branches grew one block per {!mine_ext} tick.
+    never decreases.  Adopting a longer minority branch raises it by one:
+    transactions due at that height — the requeued orphans and any
+    delay-fault releases — go into the next mined block.
     @raise Invalid_argument if no partition is active.
     @raise Consensus_failure if the reorg replay diverges. *)
 val heal_partition : t -> heal_report
@@ -140,9 +151,10 @@ val heal_partition : t -> heal_report
     sibling of the current tip: same parent and height, transactions
     permuted by [permute].  The sibling is adopted — a one-block reorg,
     with receipts and replicas rebuilt — exactly when the fork choice
-    prefers its hash.  Returns [None] when there is nothing to fork (empty
-    chain, active partition, or an identity permutation), otherwise
-    [Some adopted]. *)
+    prefers its hash; the miner re-seals it up to 2^16 times until it
+    hashes below the tip.  Returns [None] when there is nothing to fork
+    (empty chain, active partition, or an identity permutation),
+    otherwise [Some adopted]. *)
 val fork_tip : t -> permute:(Tx.t list -> Tx.t list) -> bool option
 
 (** State root of node [i] (stale while the node is down) — lets tests

@@ -98,12 +98,19 @@ let read_option r f =
   | 1 -> Some (f r)
   | _ -> raise (Decode_error "bad option tag")
 
-let read_list r f =
+(* Every element encoding is at least one byte, so a count larger than the
+   bytes left is a lie: reject it before allocating for it. *)
+let read_count r =
   let n = read_u32 r in
+  if n > Bytes.length r.buf - r.pos then raise (Decode_error "count exceeds input");
+  n
+
+let read_list r f =
+  let n = read_count r in
   List.init n (fun _ -> f r)
 
 let read_array r f =
-  let n = read_u32 r in
+  let n = read_count r in
   Array.init n (fun _ -> f r)
 
 let encode f x =

@@ -47,7 +47,12 @@ val read_bytes : reader -> bytes
 val read_string : reader -> string
 val read_bool : reader -> bool
 val read_option : reader -> (reader -> 'a) -> 'a option
+
+(** [read_list] / [read_array] read a u32 count, then that many elements.
+    Each element must encode to at least one byte: a count above the bytes
+    left raises [Decode_error] before anything is allocated for it. *)
 val read_list : reader -> (reader -> 'a) -> 'a list
+
 val read_array : reader -> (reader -> 'a) -> 'a array
 
 (** [encode f x] / [decode f b] one-shot helpers; [decode] checks that the

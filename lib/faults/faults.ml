@@ -23,7 +23,15 @@ let m_eclipsed = Obs.Counter.make "faults.eclipse.held"
 
 type crash_window = { node : int; from_height : int; to_height : int }
 
-type partition_window = { p_majority : int; p_minority : int; p_from : int; p_to : int }
+type partition_window = {
+  p_majority : int;
+  p_minority : int;
+  p_from : int;
+  p_to : int;
+  p_lead : Network.side option;
+}
+
+let side_to_string = function Network.Majority -> "majority" | Network.Minority -> "minority"
 
 type byz_mode = Byz_reorder | Byz_censor | Byz_fork
 
@@ -88,7 +96,7 @@ let check_spec s =
         invalid_arg "Faults: crash range must be 1 <= from <= to")
     s.crashes;
   List.iter
-    (fun { p_majority; p_minority; p_from; p_to } ->
+    (fun { p_majority; p_minority; p_from; p_to; _ } ->
       if p_majority < 1 || p_minority < 1 then
         invalid_arg "Faults: partition sides must each have >= 1 node";
       if p_from < 1 || p_to < p_from then
@@ -132,7 +140,7 @@ let check_spec s =
 
    A plan is a comma-separated list of clauses:
      drop=P | delay=P:K | dup=P | reorder=P | lose=P | corrupt=P
-     | crash=NODE:FROM-TO | partition=A|B:FROM-TO | byzmine=NODE:MODE
+     | crash=NODE:FROM-TO | partition=A|B:FROM-TO[:LEAD] | byzmine=NODE:MODE
      | eclipse=WORKER:FROM-TO | collude=K | withhold | noinstruct
    and the empty plan spells "none".  [spec_to_string] renders the
    canonical form, so (seed, plan) is a complete, printable repro. *)
@@ -189,25 +197,32 @@ let spec_of_string str =
             | _ -> invalid_arg (Printf.sprintf "Faults: bad crash range %S" range))
           | _ -> invalid_arg (Printf.sprintf "Faults: bad crash clause %S (want crash=NODE:FROM-TO)" item))
         | "partition" -> (
-          match String.split_on_char ':' v with
-          | [ sides; range ] -> (
+          let bad () =
+            invalid_arg
+              (Printf.sprintf
+                 "Faults: bad partition clause %S (want partition=A|B:FROM-TO[:majority|minority])"
+                 item)
+          in
+          let window sides range p_lead =
             match (String.split_on_char '|' sides, String.split_on_char '-' range) with
             | [ a; b ], [ f; t ] ->
-              let w =
-                {
-                  p_majority = parse_int "partition majority" a;
-                  p_minority = parse_int "partition minority" b;
-                  p_from = parse_int "partition from" f;
-                  p_to = parse_int "partition to" t;
-                }
-              in
-              { acc with partitions = acc.partitions @ [ w ] }
-            | _ ->
-              invalid_arg
-                (Printf.sprintf "Faults: bad partition clause %S (want partition=A|B:FROM-TO)" item))
-          | _ ->
-            invalid_arg
-              (Printf.sprintf "Faults: bad partition clause %S (want partition=A|B:FROM-TO)" item))
+              {
+                p_majority = parse_int "partition majority" a;
+                p_minority = parse_int "partition minority" b;
+                p_from = parse_int "partition from" f;
+                p_to = parse_int "partition to" t;
+                p_lead;
+              }
+            | _ -> bad ()
+          in
+          let w =
+            match String.split_on_char ':' v with
+            | [ sides; range ] -> window sides range None
+            | [ sides; range; "majority" ] -> window sides range (Some Network.Majority)
+            | [ sides; range; "minority" ] -> window sides range (Some Network.Minority)
+            | _ -> bad ()
+          in
+          { acc with partitions = acc.partitions @ [ w ] })
         | "byzmine" -> (
           match String.split_on_char ':' v with
           | [ node; mode ] ->
@@ -262,8 +277,10 @@ let spec_to_string s =
       add (Printf.sprintf "crash=%d:%d-%d" node from_height to_height))
     s.crashes;
   List.iter
-    (fun { p_majority; p_minority; p_from; p_to } ->
-      add (Printf.sprintf "partition=%d|%d:%d-%d" p_majority p_minority p_from p_to))
+    (fun { p_majority; p_minority; p_from; p_to; p_lead } ->
+      add
+        (Printf.sprintf "partition=%d|%d:%d-%d%s" p_majority p_minority p_from p_to
+           (match p_lead with None -> "" | Some side -> ":" ^ side_to_string side)))
     s.partitions;
   (match s.byzmine with
   | None -> ()
@@ -440,7 +457,7 @@ let record_heal t ~height ~suffix (r : Network.heal_report) =
 let on_block t net ~height =
   t.cur_height <- height;
   List.iter
-    (fun { p_majority; p_minority; p_from; p_to } ->
+    (fun { p_majority; p_minority; p_from; p_to; p_lead } ->
       if height = p_from then begin
         let n = Network.num_nodes net in
         if p_majority + p_minority <> n then
@@ -451,11 +468,12 @@ let on_block t net ~height =
              so node 0 (the canonical read replica) stays on the majority
              side and the split is a pure function of the plan. *)
           let minority = List.init p_minority (fun i -> n - p_minority + i) in
-          match Network.start_partition net ~minority with
+          match Network.start_partition ?lead:p_lead net ~minority with
           | () ->
             Obs.Counter.incr m_partitions;
-            record t "h=%d partition.start majority=%d minority=%d until=%d" height p_majority
+            record t "h=%d partition.start majority=%d minority=%d until=%d%s" height p_majority
               p_minority p_to
+              (match p_lead with None -> "" | Some side -> " lead=" ^ side_to_string side)
           | exception Invalid_argument why ->
             record t "h=%d partition.start refused (%s)" height why
         end
@@ -487,8 +505,9 @@ let on_block t net ~height =
   | Some (node, Byz_fork)
     when (not (Network.partition_active net))
          && unit_float t ~site:site_byz_fork ~a:height ~b:0 < 0.25 -> (
-    (* The byzantine miner grinds a conflicting sibling of the tip with
-       its transactions shuffled; the network's fork choice decides. *)
+    (* The byzantine miner mines a conflicting sibling of the tip with its
+       transactions shuffled and re-seals it until it hashes below the tip,
+       so the fork choice adopts it. *)
     match
       Network.fork_tip net ~permute:(fun txs -> shuffle_at t ~site:site_byz_shuffle ~height txs)
     with

@@ -39,18 +39,29 @@ type crash_window = { node : int; from_height : int; to_height : int }
     replica ids — node 0 stays canonical) is cut off from the mempool and
     mines empty blocks on its own branch; the heal at [p_to + 1] runs the
     network's fork choice (longest chain, ties to the smaller tip hash)
-    and replays the losing branch's transactions.  The two side counts
-    must sum to the network's node count, or the start is refused (traced,
-    not raised).  Windows must not overlap each other or crash windows. *)
-type partition_window = { p_majority : int; p_minority : int; p_from : int; p_to : int }
+    and replays the losing branch's transactions.  With [p_lead] that
+    side's branch is one block longer at the heal (see
+    {!Zebra_chain.Network.start_partition}), so the fork choice goes its
+    way by length: [Majority] keeps the canonical chain, [Minority]
+    adopts the minority branch.  Without it the tip-hash tie-break
+    decides.  The two side counts must sum to the network's node count,
+    or the start is refused (traced, not raised).  Windows must not
+    overlap each other or crash windows. *)
+type partition_window = {
+  p_majority : int;
+  p_minority : int;
+  p_from : int;
+  p_to : int;
+  p_lead : Zebra_chain.Network.side option;
+}
 
 (** What the byzantine miner does with the blocks it seals:
     [Byz_reorder] shuffles the scheduled transactions (coin 0.5 per
     block), [Byz_censor] omits transactions from the block (coin 0.3 per
     slot; the network requeues them — bounded delay, not censorship),
     [Byz_fork] mines a conflicting sibling of the tip with shuffled
-    transactions (coin 0.25 per block) and lets the fork choice decide —
-    an adopted sibling is a depth-1 reorg. *)
+    transactions (coin 0.25 per block) and re-seals it until it hashes
+    below the tip, so the fork choice adopts it — a depth-1 reorg. *)
 type byz_mode = Byz_reorder | Byz_censor | Byz_fork
 
 val byz_mode_to_string : byz_mode -> string
@@ -90,7 +101,7 @@ val none : spec
 
 (** Parse the plan DSL: comma-separated
     [drop=P | delay=P:K | dup=P | reorder=P | lose=P | corrupt=P |
-     crash=NODE:FROM-TO | partition=A|B:FROM-TO |
+     crash=NODE:FROM-TO | partition=A|B:FROM-TO[:majority|minority] |
      byzmine=NODE:reorder|censor|fork | eclipse=WORKER:FROM-TO |
      collude=K | withhold | noinstruct]
     (empty or ["none"] is {!none}; [crash], [partition] and [eclipse]

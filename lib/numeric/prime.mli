@@ -16,5 +16,7 @@ val random_below : random_bytes:(int -> bytes) -> Nat.t -> Nat.t
 val random_bits : random_bytes:(int -> bytes) -> int -> Nat.t
 
 (** [generate ~bits ~random_bytes] returns an odd prime of exactly [bits]
-    bits (top bit set). *)
+    bits whose top two bits are set, so the product of two such primes has
+    exactly the sum of their widths (an RSA modulus never comes out one bit
+    short). *)
 val generate : bits:int -> random_bytes:(int -> bytes) -> Nat.t

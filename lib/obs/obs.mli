@@ -1,4 +1,4 @@
-(** Process-wide observability: counters, gauges, log-bucket latency
+(** Process-wide observability: counters, gauges, log-linear latency
     histograms and nestable phase spans behind one global registry.
 
     Everything is off by default ({!enabled} is [false]): instrumented hot
@@ -48,10 +48,12 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Fixed log-bucket histograms: bucket [i] holds observations in
-    [(base * 2^(i-1), base * 2^i]] with [base = 1e-6] (so for latencies in
-    seconds the buckets are 1us, 2us, 4us, ... ~= 1 hour).  Exact count,
-    sum, min and max are kept alongside the buckets. *)
+(** Fixed log-linear histograms: each power-of-two range
+    [[base * 2^k, base * 2^(k+1))] with [base = 1e-6] is split into 16
+    equal-width buckets (so for latencies in seconds the buckets run from
+    1us to ~2.4h, each 1/16 of its octave wide).  Values below [base]
+    land in the first bucket, values past the last in the last.  Exact
+    count, sum, min and max are kept alongside the buckets. *)
 module Histogram : sig
   type t
 
@@ -71,8 +73,9 @@ module Histogram : sig
 
   (** [percentile h q] for [q] in [0, 1] (e.g. [0.5], [0.99]):
       upper bound of the bucket holding the rank-[ceil (q * count)]
-      observation, clamped to the observed [min, max].  Resolution is the
-      power-of-two bucket width.  [nan] while empty. *)
+      observation, clamped to the observed [min, max].  For observations
+      of at least [1e-6] that is at most 6.25% above the exact
+      nearest-rank value.  [nan] while empty. *)
   val percentile : t -> float -> float
 end
 

@@ -118,19 +118,23 @@ done
 # settle with ALL chaos invariants intact (the CLI now exits non-zero if
 # any of replica agreement, supply conservation, store recovery or
 # indexer agreement fails) and print the identical trace at
-# ZEBRA_DOMAINS=1 and =4.  The seeds are chosen so both fork-choice
-# branches are exercised: part-1 keeps the canonical chain, part-2 adopts
-# the minority branch (a 4-block reorg the indexer must survive), and
-# byz-20 adopts a byzantine sibling block.
+# ZEBRA_DOMAINS=1 and =4.  Both fork-choice branches are reached by
+# construction, whatever the seed: part-1 gives the majority the lead (its
+# branch is one block longer at the heal), so the canonical chain is kept;
+# part-2 gives the minority the lead, so its branch is adopted (a 4-block
+# reorg the indexer must survive); part-7 leaves the heal to the tip-hash
+# tie-break; and the byz-20 miner re-seals its sibling until it hashes
+# below the tip, so the sibling is adopted.  A spec's optional third field
+# is a line its own trace must contain, so losing a branch fails the gate.
 echo "== byzantine gate (adversary corpus, pool-size-invariant traces) =="
 i=0
 for spec in \
-  "part-1@partition=2|1:6-9" \
-  "part-2@partition=2|1:6-9" \
+  "part-1@partition=2|1:6-9:majority@partition.heal canonical chain kept" \
+  "part-2@partition=2|1:6-9:minority@partition.heal fork adopted" \
   "part-7@partition=2|1:6-9,drop=0.1" \
   "byz-1@byzmine=1:reorder,drop=0.05" \
   "byz-1@byzmine=2:censor" \
-  "byz-20@byzmine=0:fork" \
+  "byz-20@byzmine=0:fork@sibling adopted" \
   "ec-1@eclipse=1:6-9" \
   "ec-2@eclipse=2:6-8" \
   "ec-3@eclipse=1:6-9,drop=0.1" \
@@ -138,7 +142,10 @@ for spec in \
   "col-2@collude=2" \
   "col-3@collude=1,withhold"; do
   seed="${spec%%@*}"
-  plan="${spec#*@}"
+  rest="${spec#*@}"
+  plan="${rest%%@*}"
+  expect=""
+  case "$rest" in *@*) expect="${rest#*@}" ;; esac
   i=$((i + 1))
   ZEBRA_DOMAINS=1 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/byz-d1-$i.txt"
   ZEBRA_DOMAINS=4 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/byz-d4-$i.txt"
@@ -147,6 +154,13 @@ for spec in \
     exit 1
   fi
   echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains"
+  if [ -n "$expect" ]; then
+    if ! grep -q "$expect" "$tmp/byz-d1-$i.txt"; then
+      echo "byzantine gate FAILED: seed=$seed plan=$plan never reached \"$expect\"" >&2
+      exit 1
+    fi
+    echo "seed=$seed plan=$plan: reached \"$expect\""
+  fi
 done
 
 # Index gate: the off-chain event-sourced mirror must rebuild the

@@ -633,10 +633,15 @@ let test_partition_heal () =
   ignore (Network.mine net);
   ignore (Network.mine net);
   let h = Network.height net in
+  let tip () = match List.rev (Network.blocks net) with b :: _ -> b | [] -> assert false in
+  let majority_tip = tip () in
   let r = Network.heal_partition net in
   Alcotest.(check bool) "partition over" false (Network.partition_active net);
   Alcotest.(check int) "equal-length branches: height is stable" h (Network.height net);
   if r.Network.adopted_fork then begin
+    (* equal lengths: the adopted minority tip hashes below the majority's *)
+    Alcotest.(check bool) "tie broken toward the smaller tip hash" true
+      (Bytes.compare (Block.hash (tip ())) (Block.hash majority_tip) < 0);
     Alcotest.(check int) "the whole majority branch reorged" 2 r.Network.reorged_blocks;
     Alcotest.(check bool) "orphaned transfer requeued" true (r.Network.requeued_txs >= 1)
   end
@@ -646,6 +651,33 @@ let test_partition_heal () =
   ignore (Network.mine net);
   Alcotest.(check int) "both transfers settled exactly once" 1_000_012 (Network.balance net a1);
   all_replicas_agree net
+
+(* A partition with a lead: that side's branch is one block longer at the
+   heal, so the fork choice goes its way on length — by construction, not
+   by tip hash.  The canonical chain grows one block per tick either way. *)
+let test_partition_heal_lead () =
+  List.iter
+    (fun (lead, adopted) ->
+      let net = fresh_net ~num_nodes:3 () in
+      let a1 = Wallet.address (wallet 1) in
+      ignore (Network.mine net);
+      Network.start_partition ~lead net ~minority:[ 2 ];
+      Network.submit net
+        (Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call a1) ~value:7 ~payload:Bytes.empty);
+      ignore (Network.mine net);
+      ignore (Network.mine net);
+      Alcotest.(check int) "one canonical block per tick" 3 (Network.height net);
+      let r = Network.heal_partition net in
+      Alcotest.(check bool) "the leading side wins" adopted r.Network.adopted_fork;
+      Alcotest.(check int) "height after the heal" (if adopted then 4 else 3)
+        (Network.height net);
+      Alcotest.(check int) "orphaned majority blocks" (if adopted then 2 else 0)
+        r.Network.reorged_blocks;
+      Alcotest.(check int) "requeued transfers" (if adopted then 1 else 0) r.Network.requeued_txs;
+      ignore (Network.mine net);
+      Alcotest.(check int) "the transfer settled exactly once" 1_000_007 (Network.balance net a1);
+      all_replicas_agree net)
+    [ (Network.Majority, false); (Network.Minority, true) ]
 
 let test_partition_rejects_bad_splits () =
   let net = fresh_net ~num_nodes:3 () in
@@ -677,20 +709,15 @@ let test_fork_tip_choice () =
   in
   Alcotest.(check (option bool)) "identity permutation is not a fork" None
     (Network.fork_tip net ~permute:(fun txs -> txs));
-  (match Network.fork_tip net ~permute:List.rev with
-  | None -> Alcotest.fail "a two-tx tip must yield a distinct sibling"
-  | Some adopted ->
-    let tip_after =
-      match List.rev (Network.blocks net) with b :: _ -> b | [] -> assert false
-    in
-    let same_tip = Bytes.equal (Block.hash tip_before) (Block.hash tip_after) in
-    Alcotest.(check bool) "tip replaced iff the sibling won fork choice" adopted (not same_tip);
-    if adopted then
-      (* fork choice at equal height: the smaller hash wins *)
-      Alcotest.(check bool) "adopted sibling hashes below the old tip" true
-        (Bytes.compare (Block.hash tip_after) (Block.hash tip_before) < 0);
-    Alcotest.(check int) "height unchanged" 1 (Network.height net));
-  (* the chain keeps working after the (possible) depth-1 reorg *)
+  (* the miner re-seals its sibling until it hashes below the tip, so the
+     fork choice at equal height (the smaller hash wins) adopts it *)
+  Alcotest.(check (option bool)) "re-sealed sibling adopted" (Some true)
+    (Network.fork_tip net ~permute:List.rev);
+  let tip_after = match List.rev (Network.blocks net) with b :: _ -> b | [] -> assert false in
+  Alcotest.(check bool) "adopted sibling hashes below the old tip" true
+    (Bytes.compare (Block.hash tip_after) (Block.hash tip_before) < 0);
+  Alcotest.(check int) "height unchanged" 1 (Network.height net);
+  (* the chain keeps working after the depth-1 reorg *)
   Network.submit net
     (Tx.make ~wallet:(wallet 2) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 0))) ~value:1
        ~payload:Bytes.empty);
@@ -752,6 +779,7 @@ let () =
       ( "forks",
         [
           Alcotest.test_case "partition heal fork choice" `Quick test_partition_heal;
+          Alcotest.test_case "partition heal with a lead" `Quick test_partition_heal_lead;
           Alcotest.test_case "partition rejects bad splits" `Quick
             test_partition_rejects_bad_splits;
           Alcotest.test_case "byzantine sibling fork choice" `Quick test_fork_tip_choice;

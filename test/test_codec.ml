@@ -55,6 +55,28 @@ let test_range_checks () =
   Alcotest.check_raises "u32 range" (Invalid_argument "Codec.u32") (fun () ->
       Codec.u32 w (-1))
 
+(* A verification key whose first I/O table claims 2^28 entries but holds
+   one: the decoder must reject the count against the bytes left instead of
+   allocating a 2^28-slot array first. *)
+let test_lying_count_bounded () =
+  let fp = Zebra_field.Fp.to_bytes_be Zebra_field.Fp.one in
+  let w = Codec.writer () in
+  Codec.u32 w 0;
+  for _ = 1 to 5 do
+    Codec.bytes w fp
+  done;
+  Codec.u32 w (1 lsl 28);
+  Codec.bytes w fp;
+  let b = Codec.to_bytes w in
+  Alcotest.(check int) "specimen size" 224 (Bytes.length b);
+  let before = Gc.allocated_bytes () in
+  (match Zebra_snark.Snark.vk_of_bytes b with
+  | _ -> Alcotest.fail "accepted a lying count"
+  | exception Codec.Decode_error _ -> ());
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 16. *. 224. then
+    Alcotest.failf "decoding a %d-byte vk allocated %.0f bytes" (Bytes.length b) allocated
+
 (* --- fuzzing every decoder in the system --- *)
 
 (* A decoder survives a buffer if it returns or raises a *declared* failure
@@ -127,6 +149,7 @@ let () =
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
           Alcotest.test_case "truncated" `Quick test_truncated_rejected;
           Alcotest.test_case "range checks" `Quick test_range_checks;
+          Alcotest.test_case "lying count bounded" `Quick test_lying_count_bounded;
         ] );
       ( "fuzz",
         [

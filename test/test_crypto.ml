@@ -29,6 +29,21 @@ let test_keygen_shape () =
   Alcotest.(check bool) "p prime" true (Prime.is_prime ~random_bytes k.Rsa.p);
   Alcotest.(check bool) "q prime" true (Prime.is_prime ~random_bytes k.Rsa.q)
 
+(* Keygen accepts its first prime pair: on a fresh stream, the key's
+   factors are the stream's first two [Prime.generate] outputs, so no pair
+   was thrown away for a short modulus. *)
+let test_keygen_first_pair () =
+  List.iter
+    (fun seed ->
+      let stream () = Zebra_rng.Chacha20.bytes (Zebra_rng.Chacha20.create ~seed) in
+      let k = Rsa.generate ~bits:512 ~random_bytes:(stream ()) in
+      let random_bytes = stream () in
+      let p = Prime.generate ~bits:256 ~random_bytes in
+      let q = Prime.generate ~bits:256 ~random_bytes in
+      Alcotest.(check bool) (seed ^ ": n = p*q of the first pair") true
+        (Nat.equal k.Rsa.pub.Rsa.n (Nat.mul p q)))
+    (List.init 8 (Printf.sprintf "keygen-first-pair-%d"))
+
 let test_raw_roundtrip () =
   let k = Lazy.force key in
   let m = Prime.random_below ~random_bytes k.Rsa.pub.Rsa.n in
@@ -194,6 +209,7 @@ let () =
       ( "rsa",
         [
           Alcotest.test_case "keygen shape" `Quick test_keygen_shape;
+          Alcotest.test_case "keygen accepts the first prime pair" `Quick test_keygen_first_pair;
           Alcotest.test_case "raw roundtrip" `Quick test_raw_roundtrip;
           Alcotest.test_case "CRT matches direct" `Quick test_crt_matches_direct;
           Alcotest.test_case "pubkey serialisation" `Quick test_pubkey_serialization;

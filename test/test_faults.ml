@@ -38,6 +38,8 @@ let test_plan_roundtrip () =
       "lose=0.3,corrupt=0.1";
       "crash=1:5-9,crash=2:12-14,withhold,noinstruct";
       "partition=2|1:6-9";
+      "partition=2|1:6-9:majority";
+      "partition=2|1:6-9:minority";
       "byzmine=0:fork";
       "byzmine=1:reorder";
       "eclipse=1:6-8,collude=2";
@@ -62,6 +64,7 @@ let test_plan_rejects_malformed () =
       "partition=2|1:9-5";
       "partition=0|1:2-3";
       "partition=2|1";
+      "partition=2|1:6-9:sideways";
       "byzmine=1:evil";
       "byzmine=-1:reorder";
       "byzmine=1:reorder,byzmine=2:censor";
@@ -231,6 +234,61 @@ let test_crash_refuses_last_replica () =
     (List.exists (has_prefix "h=1 node.crash node=0 refused") (Faults.trace f));
   Alcotest.(check bool) "node stayed up" true (Network.node_up net 0)
 
+(* A heal won by a minority lead raises the height by one; the block
+   hook must still fire for the height the heal skipped, so a crash
+   window starting right after it is not lost. *)
+let test_lead_heal_keeps_schedule () =
+  let net = fresh_net ~num_nodes:3 () in
+  let f =
+    Faults.create ~seed:"lead-heal"
+      (Faults.spec_of_string "partition=2|1:2-3:minority,crash=1:5-6")
+  in
+  Faults.attach f net;
+  ignore (Network.mine net);
+  Network.submit net (transfer ~from:0 ~to_:1 ~nonce:0 ~value:1);
+  for _ = 1 to 3 do
+    ignore (Network.mine net)
+  done;
+  Alcotest.(check int) "the heal sealed one extra block" 5 (Network.height net);
+  Alcotest.(check bool) "crash fired at the skipped height" false (Network.node_up net 1);
+  ignore (Network.mine net);
+  ignore (Network.mine net);
+  Alcotest.(check bool) "restarted after the window" true (Network.node_up net 1);
+  let trace = Faults.trace f in
+  Alcotest.(check bool) "minority adopted" true
+    (List.mem "h=4 partition.heal fork adopted: reorged 2 block(s), requeued 1 tx(s)" trace);
+  Alcotest.(check bool) "crash traced" true (List.mem "h=5 node.crash node=1 until=6" trace)
+
+(* A majority lead adds no canonical block — the minority seals one block
+   fewer — so a delayed transaction due at the heal height still lands
+   exactly k blocks late. *)
+let test_majority_lead_keeps_delay () =
+  let net = fresh_net ~num_nodes:3 () in
+  let f =
+    Faults.create ~seed:"lead-delay"
+      (Faults.spec_of_string "delay=1.0:2,partition=2|1:2-3:majority")
+  in
+  Faults.attach f net;
+  ignore (Network.mine net);
+  let tx = transfer ~from:0 ~to_:1 ~nonce:0 ~value:5 in
+  Network.submit net tx;
+  (* postponed at height 2, release 4: the heal height *)
+  ignore (Network.mine net);
+  ignore (Network.mine net);
+  Alcotest.(check int) "held in the delay buffer" 1 (Network.delayed net);
+  ignore (Network.mine net);
+  Alcotest.(check int) "one canonical block per tick" 4 (Network.height net);
+  Alcotest.(check bool) "released into block 4, exactly k blocks late" true
+    (List.exists
+       (fun (b : Block.t) ->
+         b.Block.header.Block.height = 4
+         && List.exists (fun t -> Bytes.equal (Tx.hash t) (Tx.hash tx)) b.Block.txs)
+       (Network.blocks net));
+  Alcotest.(check bool) "canonical chain kept" true
+    (List.mem "h=4 partition.heal canonical chain kept" (Faults.trace f));
+  Alcotest.(check bytes) "healed minority back on the canonical root" (Network.state_root net)
+    (Network.node_state_root net 2)
+
 let test_finish_restarts_down_nodes () =
   let net = fresh_net ~num_nodes:3 () in
   let f =
@@ -375,10 +433,12 @@ let test_chaos_identical_across_domains () =
 
 (* --- byzantine adversary corpus --- *)
 
-(* Partition where fork choice keeps the canonical chain: the minority
-   full-syncs, nothing reorgs, the indexer never notices. *)
+(* Partition where fork choice keeps the canonical chain: the majority
+   seals one block more than the minority, so it wins on length whatever
+   the tip hashes.  The minority full-syncs, nothing reorgs, the indexer
+   never notices. *)
 let test_chaos_partition_keep () =
-  let plan = Faults.spec_of_string "partition=2|1:6-9" in
+  let plan = Faults.spec_of_string "partition=2|1:6-9:majority" in
   let o = Chaos.run ~seed:"part-1" ~plan () in
   (match o.Chaos.settlement with
   | Chaos.Rewarded _ -> ()
@@ -388,12 +448,13 @@ let test_chaos_partition_keep () =
   Alcotest.(check bool) "canonical chain kept" true (trace_has o "partition.heal canonical chain kept");
   Alcotest.(check int) "no reorg seen by the indexer" 0 o.Chaos.indexer_reorgs
 
-(* Partition where fork choice adopts the minority branch: the whole
-   majority-side history since the fork point reorgs, its transactions are
-   requeued and re-settle exactly once, and the indexer detects the
-   invalidated cursor and re-indexes from genesis. *)
+(* Partition where fork choice adopts the minority branch: the minority
+   seals one block more, so it wins on length whatever the tip hashes.
+   The whole majority-side history since the fork point reorgs, its
+   transactions are requeued and re-settle exactly once, and the indexer
+   detects the invalidated cursor and re-indexes from genesis. *)
 let test_chaos_partition_reorg () =
-  let plan = Faults.spec_of_string "partition=2|1:6-9" in
+  let plan = Faults.spec_of_string "partition=2|1:6-9:minority" in
   let o = Chaos.run ~seed:"part-2" ~plan () in
   (match o.Chaos.settlement with
   | Chaos.Rewarded _ -> ()
@@ -421,9 +482,10 @@ let test_chaos_byzantine_censor () =
   check_invariants "byz-censor" o;
   Alcotest.(check bool) "censorship traced" true (trace_has o "byzmine.censor node=2")
 
-(* A byzantine miner whose conflicting sibling block WINS fork choice: a
-   depth-1 reorg every replica adopts, after which the round still settles
-   and the indexer still agrees. *)
+(* A byzantine miner whose conflicting sibling block WINS fork choice (it
+   re-seals the sibling until it hashes below the tip): a depth-1 reorg
+   every replica adopts, after which the round still settles and the
+   indexer still agrees. *)
 let test_chaos_byzantine_fork_adopted () =
   let plan = Faults.spec_of_string "byzmine=0:fork" in
   let o = Chaos.run ~seed:"byz-20" ~plan () in
@@ -432,7 +494,8 @@ let test_chaos_byzantine_fork_adopted () =
   | s -> Alcotest.failf "expected rewards, got %s" (Chaos.settlement_to_string s));
   check_invariants "byz-fork" o;
   Alcotest.(check bool) "adopted sibling traced" true
-    (trace_has o "sibling adopted (reorg depth 1)")
+    (trace_has o "sibling adopted (reorg depth 1)");
+  Alcotest.(check bool) "no sibling lost the fork choice" false (trace_has o "sibling rejected")
 
 (* Eclipse of one worker: its submission is held for the window and lands
    at release, inside the answer deadline — everyone still gets paid. *)
@@ -587,6 +650,8 @@ let () =
           Alcotest.test_case "crash and resync" `Quick test_crash_and_resync;
           Alcotest.test_case "last replica protected" `Quick test_crash_refuses_last_replica;
           Alcotest.test_case "finish restarts down nodes" `Quick test_finish_restarts_down_nodes;
+          Alcotest.test_case "lead heal keeps the schedule" `Quick test_lead_heal_keeps_schedule;
+          Alcotest.test_case "majority lead keeps the delay" `Quick test_majority_lead_keeps_delay;
         ] );
       ( "protocol",
         [

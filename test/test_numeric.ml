@@ -252,6 +252,20 @@ let test_generate_prime () =
   Alcotest.(check int) "exact bits" 128 (Nat.num_bits p);
   Alcotest.(check bool) "is prime" true (Prime.is_prime ~random_bytes p)
 
+(* Every generated prime has exactly [bits] bits with the top two set, on
+   independent seeded streams and at widths including odd ones (the
+   [bits - bits/2] half of an odd-width RSA modulus). *)
+let prop_generate_top_two_bits =
+  qtest "generate sets exactly the top two bits" ~count:40
+    QCheck2.Gen.(pair (int_bound 1_000_000) (oneofl [ 8; 9; 63; 128; 255; 256; 257 ]))
+    (fun (seed, bits) ->
+      let stream = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "prime-%d" seed) in
+      let random_bytes = Zebra_rng.Chacha20.bytes stream in
+      let p = Prime.generate ~bits ~random_bytes in
+      Nat.num_bits p = bits
+      && Nat.equal (Nat.shift_right p (bits - 2)) (Nat.of_int 3)
+      && Prime.is_prime ~random_bytes p)
+
 let test_random_below () =
   let bound = Nat.of_int 10 in
   for _ = 1 to 50 do
@@ -323,6 +337,7 @@ let () =
           Alcotest.test_case "large known prime" `Quick test_known_large_prime;
           Alcotest.test_case "carmichael numbers" `Quick test_carmichael;
           Alcotest.test_case "generate 128-bit" `Quick test_generate_prime;
+          prop_generate_top_two_bits;
           Alcotest.test_case "random_below range" `Quick test_random_below;
           Alcotest.test_case "BN254 modulus primality" `Quick test_p256_is_prime;
           Alcotest.test_case "tiny modulus" `Quick test_modular_tiny_modulus;

@@ -70,6 +70,25 @@ let test_histogram_extremes () =
   Alcotest.(check int) "all bucketed" 3
     (List.fold_left (fun acc (_, n) -> acc + n) 0 (Obs.Histogram.buckets h))
 
+(* Percentiles from the log-linear buckets stay within one sub-bucket
+   (6.25%) above the exact nearest-rank value, across ten decades. *)
+let prop_percentile_error =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"percentile within 6.25% of nearest rank" ~count:200
+       QCheck2.Gen.(pair (list_size (int_range 1 300) (float_range (-5.5) 3.5)) (float_range 0. 1.))
+       (fun (exponents, q) ->
+         with_obs
+           (fun () ->
+             let h = Obs.Histogram.make "t.hist.pct" in
+             let xs = List.map (fun e -> 10. ** e) exponents in
+             List.iter (Obs.Histogram.observe h) xs;
+             let sorted = Array.of_list (List.sort compare xs) in
+             let rank = Float.to_int (Float.ceil (q *. Float.of_int (Array.length sorted))) in
+             let exact = sorted.(max 1 rank - 1) in
+             let p = Obs.Histogram.percentile h q in
+             p >= exact && (p -. exact) /. exact <= 0.0625 +. 1e-12)
+           ()))
+
 (* --- spans --- *)
 
 let test_span_nesting () =
@@ -274,6 +293,7 @@ let () =
           Alcotest.test_case "gauge" `Quick (with_obs test_gauge);
           Alcotest.test_case "histogram" `Quick (with_obs test_histogram);
           Alcotest.test_case "histogram extremes" `Quick (with_obs test_histogram_extremes);
+          prop_percentile_error;
         ] );
       ( "spans",
         [
