@@ -313,12 +313,17 @@ let ablation_fft () =
       let b = Array.init d (fun _ -> Fp.random random_bytes) in
       (* FFT path: evaluate a*b on a coset, divide by Z there, interpolate. *)
       let fft_once () =
-        let ea = Array.copy a and eb = Array.copy b in
-        Zebra_field.Fft.coset_fft dom ea;
-        Zebra_field.Fft.coset_fft dom eb;
+        let ea = Fp.Vec.of_array a and eb = Fp.Vec.of_array b in
+        Zebra_field.Fft.coset_fft_vec dom ea;
+        Zebra_field.Fft.coset_fft_vec dom eb;
         let zinv = Fp.inv (Zebra_field.Fft.vanishing_on_coset dom) in
-        let h = Array.init d (fun i -> Fp.mul (Fp.mul ea.(i) eb.(i)) zinv) in
-        Zebra_field.Fft.coset_ifft dom h;
+        let h = Fp.Vec.create d in
+        let tmp = Fp.buffer () in
+        for i = 0 to d - 1 do
+          Fp.Vec.mul_into_elt ~dst:tmp ea i eb i;
+          Fp.Vec.set_mul h i tmp zinv
+        done;
+        Zebra_field.Fft.coset_ifft_vec dom h;
         h
       in
       (* Naive path: schoolbook product then polynomial long division. *)
@@ -449,7 +454,7 @@ let parallel () =
     (if cores = 1 then " - expect a flat curve on this machine" else "");
   let saved = Parallel.default_domains () in
   (* Proving: one depth-16 MiMC Merkle circuit, one setup, then the same
-     proof at 1/2/4 domains.  Each run re-seeds its own RNG so the proofs
+     proof at 1/2/4 domains, best of 3 each.  Each run re-seeds its own RNG so the proofs
      must come out byte-identical - that equality is asserted, it is the
      determinism contract under test. *)
   let cs =
@@ -465,11 +470,19 @@ let parallel () =
   let domain_counts = [ 1; 2; 4 ] in
   let prove_at nd =
     Parallel.set_default_domains nd;
-    let r = Zebra_rng.Chacha20.create ~seed:"bench-parallel-prove" in
-    let proof, dt =
-      wall (fun () -> Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs)
+    (* Best of 3: the first region on a fresh pool runs well below the
+       pool's steady speed. *)
+    let runs =
+      List.init 3 (fun _ ->
+          let r = Zebra_rng.Chacha20.create ~seed:"bench-parallel-prove" in
+          let proof, dt =
+            wall (fun () -> Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs)
+          in
+          (Snark.proof_to_bytes proof, dt))
     in
-    (Snark.proof_to_bytes proof, dt)
+    let proof = fst (List.hd runs) in
+    assert (List.for_all (fun (p, _) -> Bytes.equal p proof) runs);
+    (proof, List.fold_left (fun acc (_, dt) -> Float.min acc dt) infinity runs)
   in
   let prove_runs = List.map (fun nd -> (nd, prove_at nd)) domain_counts in
   let base_proof, base_t =
@@ -482,29 +495,39 @@ let parallel () =
       Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx  proof identical: yes\n%!" nd dt
         (base_t /. dt))
     prove_runs;
-  (* FFT: one coset-quotient round trip at 2^15, the prover's inner shape. *)
-  let log_d = 15 in
-  let d = 1 lsl log_d in
-  let dom = Zebra_field.Fft.domain d in
-  let a0 = Array.init d (fun _ -> Fp.random random_bytes) in
-  let fft_at nd =
-    Parallel.set_default_domains nd;
-    let a = Array.copy a0 in
-    let _, dt =
-      wall (fun () ->
-          Zebra_field.Fft.coset_fft dom a;
-          Zebra_field.Fft.coset_ifft dom a)
+  (* FFT: coset round trips at 2^12 (a deployed circuit's domain, the
+     smallest size whose stages fan out) and 2^15.  Best of [reps] runs
+     per domain count; each run must restore its input exactly. *)
+  let fft_curve log_d reps =
+    let d = 1 lsl log_d in
+    let dom = Zebra_field.Fft.domain d in
+    let v0 = Fp.Vec.of_array (Array.init d (fun _ -> Fp.random random_bytes)) in
+    let fft_at nd =
+      Parallel.set_default_domains nd;
+      let best = ref infinity in
+      for _ = 1 to reps do
+        let v = Fp.Vec.copy v0 in
+        let _, dt =
+          wall (fun () ->
+              Zebra_field.Fft.coset_fft_vec dom v;
+              Zebra_field.Fft.coset_ifft_vec dom v)
+        in
+        assert (Fp.Vec.to_array v = Fp.Vec.to_array v0);
+        best := Float.min !best dt
+      done;
+      !best
     in
-    assert (Array.for_all2 Fp.equal a a0);
-    dt
+    let runs = List.map (fun nd -> (nd, fft_at nd)) domain_counts in
+    let base = match runs with (_, t) :: _ -> t | [] -> assert false in
+    Printf.printf "\ncoset FFT round trip (2^%d, best of %d):\n" log_d reps;
+    List.iter
+      (fun (nd, dt) ->
+        Printf.printf "  %d domain(s): %8.4fs  speedup %.2fx\n%!" nd dt (base /. dt))
+      runs;
+    (log_d, runs, base)
   in
-  let fft_runs = List.map (fun nd -> (nd, fft_at nd)) domain_counts in
-  let fft_base = match fft_runs with (_, t) :: _ -> t | [] -> assert false in
-  Printf.printf "\ncoset FFT round trip (2^%d):\n" log_d;
-  List.iter
-    (fun (nd, dt) ->
-      Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx\n%!" nd dt (fft_base /. dt))
-    fft_runs;
+  let fft_4096 = fft_curve 12 30 in
+  let fft_curves = [ fft_4096; fft_curve 15 3 ] in
   Parallel.set_default_domains saved;
   let curve runs base =
     Json.List
@@ -526,8 +549,13 @@ let parallel () =
            ("prove_constraints", Json.Num (float_of_int (Cs.num_constraints cs)));
            ("prove", curve (List.map (fun (nd, (_, dt)) -> (nd, dt)) prove_runs) base_t);
            ("proofs_identical", Json.Bool true);
-           ("fft_log_size", Json.Num (float_of_int log_d));
-           ("fft_roundtrip", curve fft_runs fft_base);
+           ( "fft_roundtrip",
+             Json.List
+               (List.map
+                  (fun (log_d, runs, base) ->
+                    Json.Obj
+                      [ ("log_size", Json.Num (float_of_int log_d)); ("curve", curve runs base) ])
+                  fft_curves) );
          ])
   in
   let oc = open_out "BENCH_parallel.json" in
@@ -536,8 +564,8 @@ let parallel () =
   close_out oc;
   Printf.printf
     "\nwrote BENCH_parallel.json (%d bytes)\n\
-     read speedups against recommended_domain_count: on a single-core host the\n\
-     honest curve is flat (see PERFORMANCE.md).\n%!"
+     read speedups against recommended_domain_count: no curve can rise past the\n\
+     host's core count (see PERFORMANCE.md).\n%!"
     (String.length json)
 
 (* --- X10: static-analyzer cost --- *)
@@ -798,8 +826,8 @@ let snark () =
 
 (* X12: the zero-allocation kernel work.  ns/op and allocated-bytes/op
    for the pure vs destructive field kernels, the sliding-window
-   exponentiation, an FFT size sweep over the array vs flat-vector
-   paths, and whole-prove allocation per constraint.  Self-asserting:
+   exponentiation, the unrolled 9-limb multiply vs the width-generic
+   loop, an FFT size sweep, and whole-prove allocation per constraint.  Self-asserting:
    every in-place kernel must cut allocation per op by at least
    [field_alloc_floor]x against its pure counterpart or the bench exits
    non-zero (this is what the check.sh field gate runs). *)
@@ -854,24 +882,26 @@ let field () =
   let pow_ns = bechamel_ns "pow-254bit" (fun () -> ignore (Fp.pow a e)) in
   let pow_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e)) in
   Printf.printf "pow (254-bit exponent, 4-bit window): %.0f ns, %.0f B/op\n%!" pow_ns pow_b;
-  (* FFT: boxed-array API (converts through a Vec) vs operating on a
-     flat Vec directly. *)
+  (* Montgomery multiplication at the Fp width: the unrolled 9-limb
+     kernel every Fp.mul runs against the width-generic CIOS loop, on
+     one context in the same run. *)
+  let mctx = Modular.create Fp.modulus in
+  let limbs x = (Modular.to_mont mctx (Fp.to_nat x) :> int array) in
+  let la = limbs a and lb = limbs b and lr = (Modular.mont_buffer mctx :> int array) in
+  let spec_ns = bechamel_ns "mul9-specialised" (fun () -> Modular.mul_off mctx lr 0 la 0 lb 0) in
+  let gen_ns = bechamel_ns "mul9-generic" (fun () -> Modular.mul_off_generic mctx lr 0 la 0 lb 0) in
+  Printf.printf "mul at 9 limbs: specialised %.1f ns, generic %.1f ns (%.2fx)\n%!" spec_ns
+    gen_ns (gen_ns /. spec_ns);
+  (* FFT sweep over flat vectors (calling domain only: no pool). *)
   let fft_rows =
     List.map
       (fun lg ->
         let d = Fft.domain (1 lsl lg) in
-        let n = Fft.size d in
-        let arr = Array.init n (fun _ -> fresh ()) in
-        let v = Fp.Vec.of_array arr in
-        let arr_ns = bechamel_ns (Printf.sprintf "fft-array-2^%d" lg) (fun () -> Fft.fft d arr) in
+        let v = Fp.Vec.of_array (Array.init (Fft.size d) (fun _ -> fresh ())) in
         let vec_ns = bechamel_ns (Printf.sprintf "fft-vec-2^%d" lg) (fun () -> Fft.fft_vec d v) in
-        let arr_b = bytes_per_op ~iters:50 (fun () -> Fft.fft d arr) in
         let vec_b = bytes_per_op ~iters:50 (fun () -> Fft.fft_vec d v) in
-        Printf.printf
-          "fft 2^%-2d: array %8.1f us / %9.0f B, vec %8.1f us / %9.0f B (%.1fx less alloc)\n%!"
-          lg (arr_ns /. 1e3) arr_b (vec_ns /. 1e3) vec_b
-          (arr_b /. Float.max 1. vec_b);
-        (lg, arr_ns, vec_ns, arr_b, vec_b))
+        Printf.printf "fft 2^%-2d: %8.1f us / %9.0f B\n%!" lg (vec_ns /. 1e3) vec_b;
+        (lg, vec_ns, vec_b))
       [ 10; 12; 14 ]
   in
   (* Whole-prove allocation, normalised per constraint.  Calling-domain
@@ -929,16 +959,21 @@ let field () =
                   rows) );
            ( "pow_254bit",
              Json.Obj [ ("ns", Json.Num pow_ns); ("bytes_per_op", Json.Num pow_b) ] );
+           ( "mul_9_limbs",
+             Json.Obj
+               [
+                 ("specialised_ns", Json.Num spec_ns);
+                 ("generic_ns", Json.Num gen_ns);
+                 ("speedup_x", Json.Num (gen_ns /. spec_ns));
+               ] );
            ( "fft",
              Json.List
                (List.map
-                  (fun (lg, arr_ns, vec_ns, arr_b, vec_b) ->
+                  (fun (lg, vec_ns, vec_b) ->
                     Json.Obj
                       [
                         ("log2_size", Json.Num (float_of_int lg));
-                        ("array_ns", Json.Num arr_ns);
                         ("vec_ns", Json.Num vec_ns);
-                        ("array_bytes_per_op", Json.Num arr_b);
                         ("vec_bytes_per_op", Json.Num vec_b);
                       ])
                   fft_rows) );

@@ -1,11 +1,14 @@
 module Parallel = Zebra_parallel.Parallel
 
 (* Butterflies (resp. pointwise multiplications) per chunk below which a
-   stage is not worth fanning out.  Thresholds gate only *where* the work
-   runs: chunk grids are pool-independent and every chunk owns a disjoint
-   index range, so results are bit-identical at any ZEBRA_DOMAINS. *)
-let par_min_butterflies = 1 lsl 12
-let par_min_pointwise = 1 lsl 13
+   stage is not worth fanning out.  A deployed circuit's 4096-point
+   transform has 2048 butterflies per stage and 4096 scaling products, so
+   each splits into two chunks: one per core on a 2-core host.  Thresholds
+   gate only *where* the work runs: chunk grids are functions of
+   (n, min_chunk) alone and every chunk owns a disjoint index range, so
+   results are bit-identical at any ZEBRA_DOMAINS. *)
+let par_min_butterflies = 1 lsl 10
+let par_min_pointwise = 1 lsl 11
 
 (* A domain carries precomputed power tables, built eagerly at creation:
    - [tw] / [tw_inv]: omega^i (resp. omega^-i) for i < size/2, shared by
@@ -103,7 +106,10 @@ let bit_reverse_permute_vec v =
 (* [tw] holds root^i for i < n/2; the stage with block size [blk] reads its
    twiddle w_len^j = root^(j * n/blk) at stride n/blk.  One shared table
    replaces the per-butterfly running product (halving the multiplication
-   count) and makes chunk boundaries trivially grid-independent. *)
+   count) and makes chunk boundaries trivially grid-independent.  Every
+   stage is one flat range of n/2 butterflies, k = block * half + j, so
+   the same grid splits early stages (many small blocks) and late ones
+   (a few large blocks) alike. *)
 let ntt_in_place_vec v tw =
   let n = Fp.Vec.length v in
   bit_reverse_permute_vec v;
@@ -112,41 +118,14 @@ let ntt_in_place_vec v tw =
     let blk = !len in
     let half = blk / 2 in
     let stride = n / blk in
-    (* One block's butterflies over j in [jlo, jhi).  Writes touch only
-       slots base+j and base+j+half; [tmp] is the chunk's scratch. *)
-    let butterflies tmp base jlo jhi =
-      for j = jlo to jhi - 1 do
-        Fp.Vec.butterfly ~tmp v (base + j) (base + j + half) tw.(j * stride)
-      done
-    in
-    if half >= par_min_butterflies then begin
-      (* Late stages: a few large blocks — split each block's j-range. *)
-      let base = ref 0 in
-      while !base < n do
-        let b = !base in
-        Parallel.parallel_for ~min_chunk:par_min_butterflies half (fun jlo jhi ->
-            butterflies (Fp.buffer ()) b jlo jhi);
-        base := b + blk
-      done
-    end
-    else if n / 2 >= par_min_butterflies then
-      (* Early stages: many small blocks — whole blocks per chunk. *)
-      Parallel.parallel_for
-        ~min_chunk:(max 1 (par_min_butterflies / half))
-        (n / blk)
-        (fun blo bhi ->
-          let tmp = Fp.buffer () in
-          for b = blo to bhi - 1 do
-            butterflies tmp (b * blk) 0 half
-          done)
-    else begin
-      let tmp = Fp.buffer () in
-      let base = ref 0 in
-      while !base < n do
-        butterflies tmp !base 0 half;
-        base := !base + blk
-      done
-    end;
+    (* Butterfly k writes only its own two slots, p and p + half. *)
+    Parallel.parallel_for ~min_chunk:par_min_butterflies (n / 2) (fun lo hi ->
+        let tmp = Fp.buffer () in
+        for k = lo to hi - 1 do
+          let j = k land (half - 1) in
+          let p = ((k - j) * 2) + j in
+          Fp.Vec.butterfly ~tmp v p (p + half) tw.(j * stride)
+        done);
     len := blk * 2
   done
 
@@ -186,25 +165,6 @@ let coset_ifft_vec d v =
   (* One pass applies both the inverse-NTT 1/n factor and the coset
      unshift g^-i (folded table — see [coset_unscale]). *)
   scale_by_table_vec v d.coset_unscale
-
-(* Boxed-array entry points, kept for callers outside the prover hot
-   path: convert once, transform flat, write fresh elements back (the
-   caller's existing elements are replaced, never mutated — they may be
-   shared, e.g. [Fp.zero] padding). *)
-
-let check_len d a =
-  if Array.length a <> d.size then invalid_arg "Fft: array length must equal domain size"
-
-let on_vec d transform a =
-  check_len d a;
-  let v = Fp.Vec.of_array a in
-  transform d v;
-  Fp.Vec.write_array v a
-
-let fft d a = on_vec d fft_vec a
-let ifft d a = on_vec d ifft_vec a
-let coset_fft d a = on_vec d coset_fft_vec a
-let coset_ifft d a = on_vec d coset_ifft_vec a
 
 let vanishing_on_coset d = Fp.sub (Fp.pow_int coset_shift d.size) Fp.one
 let vanishing_at d x = Fp.sub (Fp.pow_int x d.size) Fp.one

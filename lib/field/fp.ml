@@ -165,12 +165,6 @@ module Vec = struct
 
   let to_array v = Array.init v.len (get v)
 
-  let write_array v a =
-    if Array.length a <> v.len then invalid_arg "Fp.Vec.write_array: length mismatch";
-    for i = 0 to v.len - 1 do
-      a.(i) <- get v i
-    done
-
   let swap v i j =
     let oi = i * nl and oj = j * nl in
     for k = 0 to nl - 1 do

@@ -203,11 +203,6 @@ module Vec : sig
   (** [to_array v] is the vector as an array of fresh elements. *)
   val to_array : t -> elt array
 
-  (** [write_array v a] stores fresh elements of [v] into the slots of
-      [a] (existing elements of [a] are replaced, never mutated).
-      @raise Invalid_argument on length mismatch. *)
-  val write_array : t -> elt array -> unit
-
   val swap : t -> int -> int -> unit
   val is_zero : t -> int -> bool
   val add_slots : t -> int -> t -> int -> t -> int -> unit

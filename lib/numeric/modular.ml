@@ -1,6 +1,10 @@
-let limb_bits = Nat.limb_bits
-let base = 1 lsl limb_bits
-let mask = base - 1
+(* Literals rather than [Nat.limb_bits], so the kernels shift and mask
+   by immediates instead of loading module fields; checked against [Nat]
+   when the module initialises. *)
+let limb_bits = 31
+let base = 0x8000_0000
+let mask = 0x7fff_ffff
+let () = assert (limb_bits = Nat.limb_bits && base = 1 lsl limb_bits)
 
 type ctx = {
   m : Nat.t;
@@ -58,124 +62,6 @@ let rec cmp_off_from a ao b bo i =
     let x = a.(ao + i) and y = b.(bo + i) in
     if x < y then -1 else if x > y then 1 else cmp_off_from a ao b bo (i - 1)
   end
-
-(* Compare fixed-width little-endian arrays. *)
-let cmp_fixed a b n = cmp_off_from a 0 b 0 (n - 1)
-
-(* r <- a - m (in place allowed when r == a); assumes a >= m. *)
-let sub_m ctx a r =
-  let borrow = ref 0 in
-  for i = 0 to ctx.n - 1 do
-    let d = a.(i) - ctx.m_limbs.(i) - !borrow in
-    if d < 0 then begin
-      r.(i) <- d + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- d;
-      borrow := 0
-    end
-  done
-
-(* CIOS Montgomery multiplication: returns a*b*R^{-1} mod m.  The two limbs
-   that overflow the n-wide accumulator live in scalar refs so [t] itself
-   (allocated once, at exactly the result width) is returned — this is the
-   innermost loop of the whole prover, and the obvious (n+2)-wide temp plus
-   [Array.sub] costs a second allocation per field multiplication. *)
-let mont_mul ctx a b =
-  let n = ctx.n in
-  let t = Array.make n 0 in
-  let t_n = ref 0 in
-  let t_n1 = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let acc = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- acc land mask;
-      c := acc lsr limb_bits
-    done;
-    let acc = !t_n + !c in
-    t_n := acc land mask;
-    t_n1 := !t_n1 + (acc lsr limb_bits);
-    let mi = (t.(0) * ctx.m0') land mask in
-    let c = ref ((t.(0) + (mi * ctx.m_limbs.(0))) lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let acc = t.(j) + (mi * ctx.m_limbs.(j)) + !c in
-      t.(j - 1) <- acc land mask;
-      c := acc lsr limb_bits
-    done;
-    let acc = !t_n + !c in
-    t.(n - 1) <- acc land mask;
-    t_n := !t_n1 + (acc lsr limb_bits);
-    t_n1 := 0
-  done;
-  if !t_n <> 0 || cmp_fixed t ctx.m_limbs n >= 0 then sub_m ctx t t;
-  t
-
-let mont_sqr ctx a = mont_mul ctx a a
-
-let mont_add ctx a b =
-  let n = ctx.n in
-  let r = Array.make n 0 in
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let s = a.(i) + b.(i) + !carry in
-    r.(i) <- s land mask;
-    carry := s lsr limb_bits
-  done;
-  if !carry <> 0 || cmp_fixed r ctx.m_limbs n >= 0 then sub_m ctx r r;
-  r
-
-let mont_sub ctx a b =
-  let n = ctx.n in
-  let r = Array.make n 0 in
-  let borrow = ref 0 in
-  for i = 0 to n - 1 do
-    let d = a.(i) - b.(i) - !borrow in
-    if d < 0 then begin
-      r.(i) <- d + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- d;
-      borrow := 0
-    end
-  done;
-  if !borrow <> 0 then begin
-    (* add modulus back *)
-    let carry = ref 0 in
-    for i = 0 to n - 1 do
-      let s = r.(i) + ctx.m_limbs.(i) + !carry in
-      r.(i) <- s land mask;
-      carry := s lsr limb_bits
-    done
-  end;
-  r
-
-let mont_zero ctx = Array.make ctx.n 0
-let mont_one ctx = Array.copy ctx.one_m
-
-let mont_neg ctx a =
-  if Array.for_all (fun x -> x = 0) a then Array.copy a
-  else begin
-    let r = Array.make ctx.n 0 in
-    let borrow = ref 0 in
-    for i = 0 to ctx.n - 1 do
-      let d = ctx.m_limbs.(i) - a.(i) - !borrow in
-      if d < 0 then begin
-        r.(i) <- d + base;
-        borrow := 1
-      end
-      else begin
-        r.(i) <- d;
-        borrow := 0
-      end
-    done;
-    r
-  end
-
-let mont_equal a b = cmp_fixed a b (Array.length a) = 0
 
 (* ------------------------------------------------------------------ *)
 (* Offset kernels over raw limb regions.
@@ -269,14 +155,18 @@ let neg_off ctx r ro a ao =
 
 let overlaps r ro a ao n = r == a && abs (ro - ao) < n
 
-(* CIOS with the destination region as accumulator; see [mont_mul] for
-   the scalar-overflow-limb trick.  The destination must be disjoint
-   from both sources: the accumulator is written at index j-1 while
-   source limbs at indices >= j are still pending reads. *)
-let mul_off ctx r ro a ao b bo =
-  let n = ctx.n in
+let check_disjoint n r ro a ao b bo =
   if overlaps r ro a ao n || overlaps r ro b bo n then
-    invalid_arg "Modular.mul_off: destination overlaps a source";
+    invalid_arg "Modular.mul_off: destination overlaps a source"
+
+(* Width-generic CIOS with the destination region as accumulator.  The
+   two limbs that overflow the n-wide accumulator live in scalar refs, so
+   the region itself is the whole working set.  The destination must be
+   disjoint from both sources: the accumulator is written at index j-1
+   while source limbs at indices >= j are still pending reads. *)
+let mul_off_generic ctx r ro a ao b bo =
+  let n = ctx.n in
+  check_disjoint n r ro a ao b bo;
   Array.fill r ro n 0;
   let t_n = ref 0 in
   let t_n1 = ref 0 in
@@ -304,6 +194,134 @@ let mul_off ctx r ro a ao b bo =
     t_n1 := 0
   done;
   if !t_n <> 0 || cmp_off r ro ctx.m_limbs 0 n >= 0 then sub_m_off ctx r ro
+
+(* The same CIOS unrolled for 9 limbs, the width of the BN254 [Fp]
+   modulus.  Operand and modulus limbs sit in immutable locals and the
+   accumulator in ten mutable ones ([t9] is the overflow limb, at most 1
+   between rows since the accumulator stays below 2m < 2^280), so a row
+   touches no array but one limb of [a].  Every product of
+   two 31-bit limbs plus two 31-bit carries is at most 2^62 - 1, so no
+   step leaves OCaml's 63-bit int.  Unsafe access: [mul_off] has checked
+   each region against its array, and [m_limbs] has exactly 9 limbs. *)
+let mul9 ctx r ro a ao b bo =
+  let m = ctx.m_limbs and m0' = ctx.m0' in
+  let b0 = Array.unsafe_get b bo and b1 = Array.unsafe_get b (bo + 1)
+  and b2 = Array.unsafe_get b (bo + 2) and b3 = Array.unsafe_get b (bo + 3)
+  and b4 = Array.unsafe_get b (bo + 4) and b5 = Array.unsafe_get b (bo + 5)
+  and b6 = Array.unsafe_get b (bo + 6) and b7 = Array.unsafe_get b (bo + 7)
+  and b8 = Array.unsafe_get b (bo + 8) in
+  let m0 = Array.unsafe_get m 0 and m1 = Array.unsafe_get m 1
+  and m2 = Array.unsafe_get m 2 and m3 = Array.unsafe_get m 3
+  and m4 = Array.unsafe_get m 4 and m5 = Array.unsafe_get m 5
+  and m6 = Array.unsafe_get m 6 and m7 = Array.unsafe_get m 7
+  and m8 = Array.unsafe_get m 8 in
+  let t0 = ref 0 and t1 = ref 0 and t2 = ref 0 and t3 = ref 0 and t4 = ref 0 in
+  let t5 = ref 0 and t6 = ref 0 and t7 = ref 0 and t8 = ref 0 and t9 = ref 0 in
+  for i = 0 to 8 do
+    (* One row, t <- (t + a_i b + q m) / 2^31, with the product and the
+       reduction fused limb by limb: [c] carries the product chain, [d]
+       the reduction chain, and q is fixed by the first limb. *)
+    let ai = Array.unsafe_get a (ao + i) in
+    let s = !t0 + (ai * b0) in
+    let q = (s land mask * m0') land mask in
+    let c = s lsr limb_bits in
+    let d = ((s land mask) + (q * m0)) lsr limb_bits in
+    let s = !t1 + (ai * b1) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m1) + d in
+    t0 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t2 + (ai * b2) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m2) + d in
+    t1 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t3 + (ai * b3) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m3) + d in
+    t2 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t4 + (ai * b4) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m4) + d in
+    t3 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t5 + (ai * b5) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m5) + d in
+    t4 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t6 + (ai * b6) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m6) + d in
+    t5 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t7 + (ai * b7) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m7) + d in
+    t6 := s land mask;
+    let d = s lsr limb_bits in
+    let s = !t8 + (ai * b8) + c in
+    let c = s lsr limb_bits in
+    let s = (s land mask) + (q * m8) + d in
+    t7 := s land mask;
+    let s = !t9 + c + (s lsr limb_bits) in
+    t8 := s land mask;
+    t9 := s lsr limb_bits
+  done;
+  Array.unsafe_set r ro !t0;
+  Array.unsafe_set r (ro + 1) !t1;
+  Array.unsafe_set r (ro + 2) !t2;
+  Array.unsafe_set r (ro + 3) !t3;
+  Array.unsafe_set r (ro + 4) !t4;
+  Array.unsafe_set r (ro + 5) !t5;
+  Array.unsafe_set r (ro + 6) !t6;
+  Array.unsafe_set r (ro + 7) !t7;
+  Array.unsafe_set r (ro + 8) !t8;
+  if !t9 <> 0 || cmp_off r ro m 0 9 >= 0 then sub_m_off ctx r ro
+
+let region_ok arr off n = off >= 0 && off <= Array.length arr - n
+
+(* The one entry point for Montgomery multiplication: the width test
+   and the region checks that make [mul9]'s unsafe access sound run
+   once per call, outside the limb loops. *)
+let mul_off ctx r ro a ao b bo =
+  if ctx.n = 9 then begin
+    check_disjoint 9 r ro a ao b bo;
+    if not (region_ok r ro 9 && region_ok a ao 9 && region_ok b bo 9) then
+      invalid_arg "Modular.mul_off: region out of bounds";
+    mul9 ctx r ro a ao b bo
+  end
+  else mul_off_generic ctx r ro a ao b bo
+
+(* ------------------------------------------------------------------ *)
+(* Pure operations: a fresh result buffer plus the offset kernel. *)
+
+let mont_zero ctx = Array.make ctx.n 0
+let mont_one ctx = Array.copy ctx.one_m
+
+let mont_add ctx a b =
+  let r = Array.make ctx.n 0 in
+  add_off ctx r 0 a 0 b 0;
+  r
+
+let mont_sub ctx a b =
+  let r = Array.make ctx.n 0 in
+  sub_off ctx r 0 a 0 b 0;
+  r
+
+let mont_neg ctx a =
+  let r = Array.make ctx.n 0 in
+  neg_off ctx r 0 a 0;
+  r
+
+let mont_mul ctx a b =
+  let r = Array.make ctx.n 0 in
+  mul_off ctx r 0 a 0 b 0;
+  r
+
+let mont_sqr ctx a = mont_mul ctx a a
+let mont_equal a b = cmp_off a 0 b 0 (Array.length a) = 0
 
 (* ------------------------------------------------------------------ *)
 (* In-place variants on whole [mont] values (offset-0 specialisation).

@@ -84,12 +84,27 @@ val mont_sqr_into : ctx -> dst:mont -> mont -> unit
     above, region-wise: add/sub/neg destinations may {e coincide
     exactly} with a source region (partial overlap is invalid);
     [mul_off] requires a destination disjoint from both sources and
-    raises [Invalid_argument] on a detected overlap. *)
+    raises [Invalid_argument] on a detected overlap.
+
+    Every pure and [_into] operation above runs on these kernels, so
+    there is one implementation per operation. *)
 
 val add_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
 val sub_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
 val neg_off : ctx -> int array -> int -> int array -> int -> unit
+
+(** CIOS Montgomery multiplication.  At 9 limbs (the BN254 {!Zebra_field.Fp}
+    width) it runs an unrolled kernel without bounds checks, after
+    checking once that all three regions lie inside their arrays
+    ([Invalid_argument] otherwise); other widths (e.g. RSA's 17) run
+    {!mul_off_generic}. *)
 val mul_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
+
+(** The width-generic CIOS loop, with the same contract as {!mul_off}.
+    Exposed so tests and [bench field] can hold the 9-limb kernel against
+    it on the same context; results are limb-identical. *)
+val mul_off_generic : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
+
 val is_zero_off : ctx -> int array -> int -> bool
 val cmp_off : int array -> int -> int array -> int -> int -> int
 

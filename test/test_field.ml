@@ -241,26 +241,36 @@ let test_vec_slot_ops () =
   Fp.Vec.sub_slot_elt v 0 c;
   Alcotest.check fp "sub_slot_elt" x (Fp.Vec.get v 0)
 
-let test_fft_vec_matches_array () =
+(* [transform t d a] runs the in-place vector transform [t] on a copy of
+   [a] and returns the result as an array. *)
+let transform t d a =
+  let v = Fp.Vec.of_array a in
+  t d v;
+  Fp.Vec.to_array v
+
+let test_fft_vec_matches_eval () =
   let d = Fft.domain 16 in
   let a = Array.init 16 (fun _ -> fresh_fp ()) in
-  (* Array entry points and the native vector transforms must agree
-     slot for slot, for every transform variant. *)
-  List.iter
-    (fun (name, arr_t, vec_t) ->
-      let b = Array.copy a in
-      arr_t d b;
-      let v = Fp.Vec.of_array a in
-      vec_t d v;
-      Array.iteri
-        (fun i x -> Alcotest.check fp (Printf.sprintf "%s %d" name i) x (Fp.Vec.get v i))
-        b)
+  let p = Poly.of_coeffs (Array.copy a) in
+  (* Forward transforms evaluate [a] on the domain (resp. its coset);
+     inverse transforms return coefficients whose evaluations there give
+     back [a].  Every variant is checked slot for slot against Horner. *)
+  let shifts =
     [
-      ("fft", Fft.fft, Fft.fft_vec);
-      ("ifft", Fft.ifft, Fft.ifft_vec);
-      ("coset_fft", Fft.coset_fft, Fft.coset_fft_vec);
-      ("coset_ifft", Fft.coset_ifft, Fft.coset_ifft_vec);
+      ("fft", Fp.one, Fft.fft_vec, Fft.ifft_vec);
+      ("coset", Fp.generator, Fft.coset_fft_vec, Fft.coset_ifft_vec);
     ]
+  in
+  List.iter
+    (fun (name, shift, fwd, inv) ->
+      let evals = transform fwd d a in
+      let q = Poly.of_coeffs (transform inv d a) in
+      for i = 0 to 15 do
+        let x = Fp.mul shift (Fft.element d i) in
+        Alcotest.check fp (Printf.sprintf "%s forward %d" name i) (Poly.eval p x) evals.(i);
+        Alcotest.check fp (Printf.sprintf "%s inverse %d" name i) a.(i) (Poly.eval q x)
+      done)
+    shifts
 
 (* --- FFT --- *)
 
@@ -271,9 +281,7 @@ let test_fft_roundtrip () =
     (fun n ->
       let d = Fft.domain n in
       let a = rand_poly (Fft.size d) in
-      let b = Array.copy a in
-      Fft.fft d b;
-      Fft.ifft d b;
+      let b = transform Fft.ifft_vec d (transform Fft.fft_vec d a) in
       Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "n=%d i=%d" n i) a.(i) x) b)
     [ 1; 2; 4; 8; 64; 256 ]
 
@@ -281,8 +289,7 @@ let test_fft_matches_eval () =
   let d = Fft.domain 8 in
   let coeffs = rand_poly 8 in
   let p = Poly.of_coeffs (Array.copy coeffs) in
-  let evals = Array.copy coeffs in
-  Fft.fft d evals;
+  let evals = transform Fft.fft_vec d coeffs in
   for i = 0 to 7 do
     Alcotest.check fp (Printf.sprintf "eval at w^%d" i) (Poly.eval p (Fft.element d i)) evals.(i)
   done
@@ -291,8 +298,7 @@ let test_coset_fft_matches_eval () =
   let d = Fft.domain 8 in
   let coeffs = rand_poly 8 in
   let p = Poly.of_coeffs (Array.copy coeffs) in
-  let evals = Array.copy coeffs in
-  Fft.coset_fft d evals;
+  let evals = transform Fft.coset_fft_vec d coeffs in
   let g = Fp.generator in
   for i = 0 to 7 do
     let x = Fp.mul g (Fft.element d i) in
@@ -302,9 +308,7 @@ let test_coset_fft_matches_eval () =
 let test_coset_roundtrip () =
   let d = Fft.domain 16 in
   let a = rand_poly 16 in
-  let b = Array.copy a in
-  Fft.coset_fft d b;
-  Fft.coset_ifft d b;
+  let b = transform Fft.coset_ifft_vec d (transform Fft.coset_fft_vec d a) in
   Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "i=%d" i) a.(i) x) b
 
 let test_vanishing () =
@@ -374,7 +378,7 @@ let () =
           Alcotest.test_case "mul_into alias rejected" `Quick test_mul_into_alias_rejected;
           Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
           Alcotest.test_case "vec slot ops" `Quick test_vec_slot_ops;
-          Alcotest.test_case "fft vec = array" `Quick test_fft_vec_matches_array;
+          Alcotest.test_case "fft vec = Poly eval" `Quick test_fft_vec_matches_eval;
           prop_into_kernels; prop_pow_window; prop_bucket_dot;
         ] );
       ( "fft",

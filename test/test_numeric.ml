@@ -296,6 +296,119 @@ let test_modular_even_modulus_rejected () =
 let test_p256_is_prime () =
   Alcotest.(check bool) "BN254 scalar prime" true (Prime.is_prime ~rounds:16 ~random_bytes p256)
 
+(* --- The unrolled 9-limb Montgomery kernel --- *)
+
+(* Every modulus of 249 to 279 bits has 9 limbs and takes the unrolled
+   path: the BN254 prime (the accumulator stays below 2^255, so the
+   overflow limb is never set and the final subtraction is rare), the
+   widest odd 9-limb value (both are common) and one in between. *)
+let width9_moduli =
+  [
+    p256;
+    Nat.sub (Nat.shift_left Nat.one 279) Nat.one;
+    Nat.add (Nat.shift_left Nat.one 269) (Nat.of_int 12345);
+  ]
+
+let radix = Nat.shift_left Nat.one (9 * Nat.limb_bits)
+
+let limbs9 x =
+  let l = Nat.limbs x in
+  Array.init 9 (fun i -> if i < Array.length l then l.(i) else 0)
+
+(* The CIOS accumulator before its final subtraction: the unique
+   T = (a b + q m) / R with q < R and a b + q m = 0 mod R. *)
+let cios_t m a b =
+  let ab = Nat.mul a b in
+  let m_inv = Modular.inverse m radix in
+  let q = Nat.rem (Nat.mul (Nat.sub radix (Nat.rem ab radix)) m_inv) radix in
+  Nat.shift_right (Nat.add ab (Nat.mul q m)) (9 * Nat.limb_bits)
+
+(* Both kernels on the same context and raw limb inputs, each into a
+   fresh buffer; [true] when they agree with each other and with T mod m. *)
+let kernels_agree m a b =
+  let ctx = Modular.create m in
+  let la = limbs9 a and lb = limbs9 b in
+  let r9 = Array.make 9 0 and rg = Array.make 9 0 in
+  Modular.mul_off ctx r9 0 la 0 lb 0;
+  Modular.mul_off_generic ctx rg 0 la 0 lb 0;
+  let t = cios_t m a b in
+  let expect = if Nat.compare t m >= 0 then Nat.sub t m else t in
+  r9 = rg && Nat.equal (Nat.of_limbs r9) expect
+
+let prop_mul9_matches_generic =
+  qtest "9-limb mul = generic CIOS" ~count:300
+    QCheck2.Gen.(pair (int_bound 2) (pair (arb_nat ~bits:280 ()) (arb_nat ~bits:280 ())))
+    (fun (k, (a, b)) ->
+      let m = List.nth width9_moduli k in
+      kernels_agree m (Nat.rem a m) (Nat.rem b m))
+
+let test_mul9_edges () =
+  List.iter
+    (fun m ->
+      let ctx = Modular.create m in
+      Alcotest.(check int) "9 limbs" 9 (Modular.num_limbs ctx);
+      let m1 = Nat.sub m Nat.one in
+      let r_mod = Nat.rem radix m in
+      let edges = [ Nat.zero; Nat.one; Nat.two; m1; Nat.sub m Nat.two; r_mod ] in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "edge %s * %s" (Nat.to_hex a) (Nat.to_hex b))
+                true (kernels_agree m a b))
+            edges)
+        edges)
+    width9_moduli
+
+(* Inputs chosen, by the model above, so that the accumulator takes each
+   branch of the final step: at least m (the final subtraction) and at
+   least 2^279 (the overflow limb).  A fixed ChaCha stream finds them. *)
+let test_mul9_final_branches () =
+  let rng = Zebra_rng.Chacha20.create ~seed:"mul9-branches" in
+  let random_bytes n = Zebra_rng.Chacha20.bytes rng n in
+  let wide = List.nth width9_moduli 1 in
+  let find pred =
+    let rec go k =
+      if k = 0 then Alcotest.fail "no input takes the branch"
+      else
+        let a = Prime.random_below ~random_bytes wide in
+        let b = Prime.random_below ~random_bytes wide in
+        if pred (cios_t wide a b) then (a, b) else go (k - 1)
+    in
+    go 10_000
+  in
+  List.iter
+    (fun (name, pred) ->
+      List.iter
+        (fun _ ->
+          let a, b = find pred in
+          Alcotest.(check bool) name true (kernels_agree wide a b))
+        (List.init 20 Fun.id))
+    [
+      ("final subtraction", fun t -> Nat.compare t wide >= 0);
+      ("overflow limb", fun t -> Nat.num_bits t > 9 * Nat.limb_bits);
+    ]
+
+let test_mul9_rejects_bad_regions () =
+  let ctx = Modular.create p256 in
+  let buf = Array.make 27 0 in
+  let x = limbs9 (Nat.of_int 7) in
+  Array.blit x 0 buf 0 9;
+  Array.blit x 0 buf 18 9;
+  let overlap = Invalid_argument "Modular.mul_off: destination overlaps a source" in
+  Alcotest.check_raises "dst = a" overlap (fun () -> Modular.mul_off ctx buf 0 buf 0 buf 18);
+  Alcotest.check_raises "dst overlaps b" overlap (fun () ->
+      Modular.mul_off ctx buf 13 buf 0 buf 18);
+  Alcotest.check_raises "region past the end" (Invalid_argument "Modular.mul_off: region out of bounds")
+    (fun () -> Modular.mul_off ctx buf 19 x 0 x 0);
+  (* disjoint regions of one array, squaring from a shared source *)
+  Modular.mul_off ctx buf 9 buf 0 buf 0;
+  let r = Array.sub buf 9 9 in
+  let rg = Array.make 9 0 in
+  Modular.mul_off_generic ctx rg 0 x 0 x 0;
+  Alcotest.(check (array int)) "disjoint regions" rg r
+
 let () =
   Alcotest.run "numeric"
     [
@@ -330,6 +443,10 @@ let () =
           Alcotest.test_case "inverse non-coprime" `Quick test_inverse_not_coprime;
           prop_mod_mul_matches_nat; prop_mod_add_matches_nat; prop_mod_inv;
           prop_mod_pow_agree_small; prop_mod_pow_wide;
+          prop_mul9_matches_generic;
+          Alcotest.test_case "9-limb mul edges" `Quick test_mul9_edges;
+          Alcotest.test_case "9-limb mul final branches" `Quick test_mul9_final_branches;
+          Alcotest.test_case "9-limb mul bad regions" `Quick test_mul9_rejects_bad_regions;
         ] );
       ( "prime",
         [

@@ -143,30 +143,48 @@ let test_exception_propagation () =
 
 (* --- determinism: bit-identical results at any domain count --- *)
 
+(* 2^12 points: a deployed circuit's domain, and large enough that every
+   butterfly stage and scaling pass splits into more than one chunk. *)
+let fft_log_size = 12
+
 let fp_array_gen =
   QCheck.Gen.(
     map
       (fun seeds -> Array.of_list (List.map Fp.of_int seeds))
-      (list_size (return (1 lsl 10)) (int_bound max_int)))
+      (list_size (return (1 lsl fft_log_size)) (int_bound max_int)))
 
 let test_fft_determinism =
   QCheck.Test.make ~count:10 ~name:"fft identical at 1 vs 4 domains"
     (QCheck.make fp_array_gen) (fun a ->
+      let module Obs = Zebra_obs.Obs in
       let saved = Parallel.default_domains () in
       Fun.protect
-        ~finally:(fun () -> Parallel.set_default_domains saved)
+        ~finally:(fun () ->
+          Parallel.set_default_domains saved;
+          Obs.set_enabled false;
+          Obs.reset ())
         (fun () ->
           let dom = Fft.domain (Array.length a) in
           let run nd =
             Parallel.set_default_domains nd;
-            let x = Array.copy a in
-            Fft.coset_fft dom x;
-            Fft.coset_ifft dom x;
-            x
+            let x = Fp.Vec.of_array a in
+            Fft.coset_fft_vec dom x;
+            Fft.coset_ifft_vec dom x;
+            Fp.Vec.to_array x
           in
           let seq = run 1 in
+          (* Regions are counted only when they fan out, so the counters
+             show the 4-domain run really split its grids: every one of the
+             2 x 12 butterfly stages, in at least two chunks each. *)
+          Obs.reset ();
+          Obs.set_enabled true;
           let par = run 4 in
-          Array.for_all2 Fp.equal seq par && Array.for_all2 Fp.equal seq a))
+          let regions = Obs.Counter.value (Obs.Counter.make "parallel.regions") in
+          let chunks = Obs.Counter.value (Obs.Counter.make "parallel.chunks") in
+          regions >= 2 * fft_log_size
+          && chunks >= 2 * regions
+          && Array.for_all2 Fp.equal seq par
+          && Array.for_all2 Fp.equal seq a))
 
 let test_prove_determinism () =
   (* Same circuit, same RNG seed, different domain counts: the proofs must
