@@ -470,14 +470,16 @@ let parallel () =
   let domain_counts = [ 1; 2; 4 ] in
   let prove_at nd =
     Parallel.set_default_domains nd;
-    (* Best of 3: the first region on a fresh pool runs well below the
-       pool's steady speed. *)
+    let prove () =
+      let r = Zebra_rng.Chacha20.create ~seed:"bench-parallel-prove" in
+      wall (fun () -> Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs)
+    in
+    (* The first regions on a freshly created pool run well below the
+       pool's steady speed: one untimed proof warms it, then best of 3. *)
+    ignore (prove () : Snark.proof * float);
     let runs =
       List.init 3 (fun _ ->
-          let r = Zebra_rng.Chacha20.create ~seed:"bench-parallel-prove" in
-          let proof, dt =
-            wall (fun () -> Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs)
-          in
+          let proof, dt = prove () in
           (Snark.proof_to_bytes proof, dt))
     in
     let proof = fst (List.hd runs) in
@@ -589,8 +591,10 @@ let snark_baseline_min = 0.5338
 let snark_baseline_median = 0.6145
 let snark_expected_digest = "0571fea4ba550fcf0b4269296b622188adf980c3bf002489fa14e6cff7c4402a"
 
-let snark_reward_circuit () =
-  Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:5
+let snark_reward_synth cs =
+  Reward_circuit.synthesize_dummy cs ~policy:(Policy.Majority { choices = 4 }) ~n:5
+
+let snark_reward_circuit () = Cs.record snark_reward_synth
 
 let snark_prove_digest () =
   let cs = snark_reward_circuit () in
@@ -624,6 +628,18 @@ let snark_cpla_digest composition =
   assert (Cpla.verify params ~prefix ~message ~root:(Ra.root ra) att);
   Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest (Snark.proof_to_bytes att.Cpla.proof))
 
+(* Best-of-5 seconds to synthesise [synth] on a fresh recording board and
+   on a fresh witness-only board, as a JSON object. *)
+let synth_seconds synth =
+  let best create =
+    List.init 5 (fun _ -> snd (wall (fun () -> synth (create ()))))
+    |> List.fold_left Float.min infinity
+  in
+  let record = best Cs.create and witness = best Cs.create_witness in
+  ( Printf.sprintf "synth record %.4fs witness %.4fs (%.1fx)" record witness (record /. witness),
+    Zebra_obs.Json.Obj
+      [ ("record", Zebra_obs.Json.Num record); ("witness", Zebra_obs.Json.Num witness) ] )
+
 let snark () =
   header "X11: sparse prover kernels, keypair cache, batched audit";
   let module Json = Zebra_obs.Json in
@@ -651,11 +667,16 @@ let snark () =
       snark_expected_digest;
     exit 1
   end;
+  let reward_synth_line, reward_synth =
+    synth_seconds snark_reward_synth
+  in
   Printf.printf
     "reward-majority-n5 (%d constraints): prove min %.3fs med %.3fs (baseline %.3f/%.3f -> %.2fx)\n\
+     %s\n\
      proof digest unchanged: %s\n%!"
     (Cs.num_constraints cs) prove_min prove_med snark_baseline_min snark_baseline_median
     (snark_baseline_min /. prove_min)
+    reward_synth_line
     (String.sub !digest 0 16);
   (* Keypair cache: a named hit skips synthesis and setup entirely. *)
   let cache = Snark.Keycache.create ~capacity:4 () in
@@ -715,13 +736,15 @@ let snark () =
      digest gate is as fatal as the reward one: a silent move here means
      the hash migration changed proof bytes it was not supposed to. *)
   let cpla_arm composition =
-    let cs = Cpla.constraint_system ~composition ~depth:snark_cpla_depth () in
+    let synth cs = Cpla.synthesize_dummy cs ~composition ~depth:snark_cpla_depth () in
+    let cs = Cs.record synth in
     let kp, setup_s =
       wall (fun () -> Snark.setup_rng ~rng:(Source.of_seed snark_setup_seed) cs)
     in
     let _, prove_s =
       wall (fun () -> Snark.prove_rng ~rng:(Source.of_seed snark_prove_seed) kp.Snark.pk cs)
     in
+    let synth_line, synth_json = synth_seconds synth in
     let dg = snark_cpla_digest composition in
     if dg <> snark_cpla_expected composition then begin
       Printf.eprintf "FATAL: cpla-%s attestation digest moved: %s (expected %s)\n%!"
@@ -729,14 +752,14 @@ let snark () =
         (snark_cpla_expected composition);
       exit 1
     end;
-    Printf.printf "cpla-depth%d-%s: %5d constraints, setup %.3fs, prove %.3fs, digest %s\n%!"
+    Printf.printf "cpla-depth%d-%s: %5d constraints, setup %.3fs, prove %.3fs, %s, digest %s\n%!"
       snark_cpla_depth (Hc.to_string composition) (Cs.num_constraints cs) setup_s prove_s
-      (String.sub dg 0 16);
-    (composition, Cs.num_constraints cs, setup_s, prove_s, dg)
+      synth_line (String.sub dg 0 16);
+    (composition, Cs.num_constraints cs, setup_s, prove_s, synth_json, dg)
   in
   let arms = List.map cpla_arm Hc.all in
   let constraints_of comp =
-    let _, c, _, _, _ = List.find (fun (x, _, _, _, _) -> x = comp) arms in
+    let _, c, _, _, _, _ = List.find (fun (x, _, _, _, _, _) -> x = comp) arms in
     float_of_int c
   in
   let arm_ratio = constraints_of Hc.Mimc /. constraints_of Hc.Poseidon in
@@ -776,6 +799,7 @@ let snark () =
            ("constraints", Json.Num (float_of_int (Cs.num_constraints cs)));
            ("prove_seconds_min", Json.Num prove_min);
            ("prove_seconds_median", Json.Num prove_med);
+           ("synth_seconds", reward_synth);
            ("prove_speedup_min", Json.Num (snark_baseline_min /. prove_min));
            ("proof_sha256", Json.Str !digest);
            ("proof_digest_unchanged", Json.Bool (!digest = snark_expected_digest));
@@ -795,13 +819,14 @@ let snark () =
                  ( "arms",
                    Json.List
                      (List.map
-                        (fun (comp, c, setup_s, prove_s, dg) ->
+                        (fun (comp, c, setup_s, prove_s, synth, dg) ->
                           Json.Obj
                             [
                               ("composition", Json.Str (Hc.to_string comp));
                               ("constraints", Json.Num (float_of_int c));
                               ("setup_seconds", Json.Num setup_s);
                               ("prove_seconds", Json.Num prove_s);
+                              ("synth_seconds", synth);
                               ("proof_sha256", Json.Str dg);
                               ( "proof_digest_unchanged",
                                 Json.Bool (dg = snark_cpla_expected comp) );
@@ -1007,7 +1032,7 @@ let lint () =
   let rows =
     List.map
       (fun (name, synth) ->
-        let cs = synth () in
+        let cs = Cs.record synth in
         let report, dt = wall (fun () -> Lint.analyze ~name cs) in
         Printf.printf "%-22s %12d %6d %9.3f %6d %6d %6d\n%!" name
           report.Lint.num_constraints report.Lint.jacobian_rank dt

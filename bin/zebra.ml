@@ -220,10 +220,11 @@ let stats_cmd =
        the tree shows lint.* too. *)
     ignore
       (Zebra_lint.Lint.analyze ~name:"cpla-depth6-poseidon"
-         (Zebra_anonauth.Cpla.constraint_system ~depth:6 ()));
+         (Zebra_r1cs.Cs.record (fun cs -> Zebra_anonauth.Cpla.synthesize_dummy cs ~depth:6 ())));
     ignore
       (Zebra_lint.Lint.analyze ~name:"reward-majority-n3-poseidon"
-         (Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:3));
+         (Zebra_r1cs.Cs.record (fun cs ->
+              Reward_circuit.synthesize_dummy cs ~policy:(Policy.Majority { choices = 4 }) ~n:3)));
     Obs.set_enabled false;
     if json then print_endline (Obs.to_json_string ())
     else begin
@@ -370,7 +371,9 @@ let lint_cmd =
                 names
           in
           let reports =
-            List.map (fun (name, synth) -> Lint.analyze ~name (synth ())) selected
+            List.map
+              (fun (name, synth) -> Lint.analyze ~name (Zebra_r1cs.Cs.record synth))
+              selected
           in
           (match format with
           | `Json ->

@@ -1,6 +1,7 @@
 module Snark = Zebra_snark.Snark
 module Codec = Zebra_codec.Codec
 module Hash_composition = Zebra_hashcomp.Hash_composition
+module Obs = Zebra_obs.Obs
 open Zebra_r1cs
 
 type params = {
@@ -16,10 +17,11 @@ let key_canary (k : user_key) = Fp.to_bytes_be k.sk
 
 type attestation = { t1 : Fp.t; t2 : Fp.t; proof : Snark.proof }
 
-(* Synthesise the Auth circuit.  Public inputs (in order): prefix, message,
-   root, t1, t2.  Witness: sk, certificate path bits and siblings. *)
-let synthesize ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~path =
-  let cs = Cs.create () in
+(* Synthesise the Auth circuit on [cs].  Public inputs (in order): prefix,
+   message, root, t1, t2.  Witness: sk, certificate path bits and
+   siblings. *)
+let synthesize cs ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~path =
+  Obs.with_span "cpla.synth" @@ fun () ->
   let open Gadgets in
   let hash = Hash_composition.hash_gadget composition cs in
   let v_prefix = Cs.alloc_input cs prefix in
@@ -39,18 +41,17 @@ let synthesize ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~pa
   let computed_root =
     Hash_composition.merkle_root_gadget composition cs ~leaf:pk ~path_bits ~siblings
   in
-  enforce_eq cs ~label:"certificate" computed_root (v v_root);
-  cs
+  enforce_eq cs ~label:"certificate" computed_root (v v_root)
 
 (* Dummy values: the structure (and hence setup, and the static analyzer's
    view) only depends on (composition, depth). *)
-let constraint_system ?(composition = Hash_composition.default) ~depth () =
+let synthesize_dummy cs ?(composition = Hash_composition.default) ~depth () =
   let z = Fp.zero in
-  synthesize ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
+  synthesize cs ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
     ~path:(Array.make depth z)
 
 let setup ?(composition = Hash_composition.default) ~random_bytes ~depth () =
-  let cs = constraint_system ~composition ~depth () in
+  let cs = Cs.record (fun cs -> synthesize_dummy cs ~composition ~depth ()) in
   {
     depth;
     composition;
@@ -67,7 +68,7 @@ let setup_cached ?(composition = Hash_composition.default) cache ~seed ~depth =
   if depth < 1 then invalid_arg "Cpla.setup_cached: need depth >= 1";
   let keys, shape =
     Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ~depth ()) ~seed
-      (fun () -> constraint_system ~composition ~depth ())
+      (fun () -> Cs.record (fun cs -> synthesize_dummy cs ~composition ~depth ()))
   in
   { depth; composition; keys; n_constraints = shape.Snark.Keycache.constraints }
 
@@ -83,10 +84,9 @@ let auth ~random_bytes p ~prefix ~message ~key ~index ~path ~root =
   if Array.length path <> p.depth then invalid_arg "Cpla.auth: wrong path depth";
   let t1 = Hash_composition.hash_list p.composition [ prefix; key.sk ] in
   let t2 = Hash_composition.hash_list p.composition [ prefix; message; key.sk ] in
-  let cs =
-    synthesize ~composition:p.composition ~depth:p.depth ~prefix ~message ~root ~t1 ~t2
-      ~sk:key.sk ~index ~path
-  in
+  let cs = Cs.create_witness () in
+  synthesize cs ~composition:p.composition ~depth:p.depth ~prefix ~message ~root ~t1 ~t2
+    ~sk:key.sk ~index ~path;
   { t1; t2; proof = Snark.prove ~random_bytes p.keys.Snark.pk cs }
 
 let public_inputs ~prefix ~message ~root att = [| prefix; message; root; att.t1; att.t2 |]

@@ -81,14 +81,35 @@ val setup_cached :
   depth:int ->
   params
 
-(** The Auth circuit synthesised at the setup's dummy assignment — the
-    structure {!setup} compiles, exposed for static analysis
-    ([Zebra_lint]) and introspection.  No keys are generated.  Constraint
-    budget by composition: the three tag/pk hashes plus [depth] Merkle
-    levels — roughly [245*depth + 6*243] for Poseidon (5 381 measured at
-    depth 16) vs [730*depth + 6*364] for MiMC (13 867). *)
-val constraint_system :
-  ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> Zebra_r1cs.Cs.t
+(** [synthesize cs ~composition ~depth ...] synthesises the Auth circuit
+    on the board [cs] — public inputs [prefix], [message], [root], [t1],
+    [t2] in that order; witness [sk] and the certificate path
+    ([index]'s bits, [path]'s siblings) — under an [Obs] span
+    ["cpla.synth"].  {!auth} runs it on a witness-only board, the setup
+    on a recording one; the wires and assignment are the same. *)
+val synthesize :
+  Zebra_r1cs.Cs.t ->
+  composition:Zebra_hashcomp.Hash_composition.t ->
+  depth:int ->
+  prefix:Fp.t ->
+  message:Fp.t ->
+  root:Fp.t ->
+  t1:Fp.t ->
+  t2:Fp.t ->
+  sk:Fp.t ->
+  index:int ->
+  path:Fp.t array ->
+  unit
+
+(** {!synthesize} at the setup's dummy assignment (all zeros, index 0):
+    on a recording board ([Zebra_r1cs.Cs.record]) this is the structure
+    {!setup} compiles, exposed for static analysis ([Zebra_lint]) and
+    introspection.  Constraint budget by composition: the three tag/pk
+    hashes plus [depth] Merkle levels — roughly [245*depth + 6*243] for
+    Poseidon (5 381 measured at depth 16) vs [730*depth + 6*364] for MiMC
+    (13 867). *)
+val synthesize_dummy :
+  Zebra_r1cs.Cs.t -> ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> unit
 
 val depth : params -> int
 

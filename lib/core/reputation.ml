@@ -1,6 +1,7 @@
 module Snark = Zebra_snark.Snark
 module Cpla = Zebra_anonauth.Cpla
 module Hash_composition = Zebra_hashcomp.Hash_composition
+module Obs = Zebra_obs.Obs
 open Zebra_r1cs
 
 type params = {
@@ -12,8 +13,8 @@ type params = {
 type claim_proof = Snark.proof
 
 (* Public inputs (in order): task_tag, pseudonym, task_prefix, epoch. *)
-let synthesize ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
-  let cs = Cs.create () in
+let synthesize cs ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
+  Obs.with_span "link.synth" @@ fun () ->
   let open Gadgets in
   let hash = Hash_composition.hash_gadget composition cs in
   let v_tag = Cs.alloc_input cs task_tag in
@@ -22,15 +23,15 @@ let synthesize ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
   let v_epoch = Cs.alloc_input cs epoch in
   let v_sk = Cs.alloc cs sk in
   enforce_eq cs ~label:"task tag" (hash [ v v_prefix; v v_sk ]) (v v_tag);
-  enforce_eq cs ~label:"epoch pseudonym" (hash [ v v_epoch; v v_sk ]) (v v_pseudo);
-  cs
+  enforce_eq cs ~label:"epoch pseudonym" (hash [ v v_epoch; v v_sk ]) (v v_pseudo)
 
-let constraint_system ?(composition = Hash_composition.default) () =
+let synthesize_dummy cs ?(composition = Hash_composition.default) () =
   let z = Fp.zero in
-  synthesize ~composition ~task_tag:z ~pseudonym:z ~task_prefix:z ~epoch:z ~sk:z
+  synthesize cs ~composition ~task_tag:z ~pseudonym:z ~task_prefix:z ~epoch:z ~sk:z
+
 
 let setup ?(composition = Hash_composition.default) ~random_bytes () =
-  let cs = constraint_system ~composition () in
+  let cs = Cs.record (fun cs -> synthesize_dummy cs ~composition ()) in
   { composition; keys = Snark.setup ~random_bytes cs; n_constraints = Cs.num_constraints cs }
 
 (* The link circuit has a single fixed structure per composition, so the
@@ -41,7 +42,7 @@ let circuit_id ?(composition = Hash_composition.default) () =
 let setup_cached ?(composition = Hash_composition.default) cache ~seed =
   let keys, shape =
     Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ()) ~seed (fun () ->
-        constraint_system ~composition ())
+        Cs.record (fun cs -> synthesize_dummy cs ~composition ()))
   in
   { composition; keys; n_constraints = shape.Snark.Keycache.constraints }
 
@@ -61,12 +62,11 @@ let epoch_pseudonym ?(composition = Hash_composition.default) (key : Cpla.user_k
 
 let prove_link ~random_bytes p ~key ~task_prefix ~epoch =
   let composition = p.composition in
-  let cs =
-    synthesize ~composition
-      ~task_tag:(task_tag ~composition key ~task_prefix)
-      ~pseudonym:(epoch_pseudonym ~composition key ~epoch)
-      ~task_prefix ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk
-  in
+  let cs = Cs.create_witness () in
+  synthesize cs ~composition
+    ~task_tag:(task_tag ~composition key ~task_prefix)
+    ~pseudonym:(epoch_pseudonym ~composition key ~epoch)
+    ~task_prefix ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk;
   Snark.prove ~random_bytes p.keys.Snark.pk cs
 
 let verify_link ~vk_bytes ~task_tag ~pseudonym ~task_prefix ~epoch proof =

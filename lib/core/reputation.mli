@@ -49,10 +49,26 @@ val setup_cached :
   seed:string ->
   params
 
-(** The link circuit synthesised at the dummy assignment, for static
-    analysis ([Zebra_lint]). *)
-val constraint_system :
-  ?composition:Zebra_hashcomp.Hash_composition.t -> unit -> Zebra_r1cs.Cs.t
+(** [synthesize cs ~composition ~task_tag ~pseudonym ~task_prefix ~epoch
+    ~sk] synthesises the link circuit on the board [cs] under an [Obs]
+    span ["link.synth"]: public inputs [task_tag], [pseudonym],
+    [task_prefix], [epoch] in that order, witness [sk].  {!prove_link}
+    runs it on a witness-only board, the setup on a recording one. *)
+val synthesize :
+  Zebra_r1cs.Cs.t ->
+  composition:Zebra_hashcomp.Hash_composition.t ->
+  task_tag:Fp.t ->
+  pseudonym:Fp.t ->
+  task_prefix:Fp.t ->
+  epoch:Fp.t ->
+  sk:Fp.t ->
+  unit
+
+(** {!synthesize} at the dummy assignment (all zeros): on a recording
+    board ([Zebra_r1cs.Cs.record]) the structure the setup compiles and
+    static analysis ([Zebra_lint]) reads. *)
+val synthesize_dummy :
+  Zebra_r1cs.Cs.t -> ?composition:Zebra_hashcomp.Hash_composition.t -> unit -> unit
 
 (** The hash composition these parameters were set up with. *)
 val composition : params -> Zebra_hashcomp.Hash_composition.t

@@ -1,6 +1,7 @@
 module Snark = Zebra_snark.Snark
 module Elgamal = Zebra_elgamal.Elgamal
 module Hash_composition = Zebra_hashcomp.Hash_composition
+module Obs = Zebra_obs.Obs
 open Zebra_r1cs
 
 type t = {
@@ -28,9 +29,8 @@ let money_bits = 61
 (* --- circuit synthesis --- *)
 
 (* Shared front end: allocate public inputs, decrypt every slot.
-   Returns (cs, rho_var, per-slot plaintext vars, reward vars). *)
-let synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
-  let cs = Cs.create () in
+   Returns (rho_var, per-slot plaintext vars, reward vars). *)
+let synthesize_common cs ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
   let open Gadgets in
   let v_epk = Cs.alloc_input cs epk in
   let v_rho = Cs.alloc_input cs (Fp.of_int rho) in
@@ -53,26 +53,28 @@ let synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
       (fun j (c1, c2) ->
         let m = Cs.alloc cs ~label:(Printf.sprintf "answer[%d]" j) plaintexts.(j) in
         let pow = exp cs ~base:(v c1) ~bits in
-        Cs.enforce cs ~label:(Printf.sprintf "decrypt[%d]" j) (v m) (v pow) (v c2);
+        enforce cs ~label:(Printf.sprintf "decrypt[%d]" j) (v m) (v pow) (v c2);
         let miss = is_zero cs (v c1) in
-        Cs.enforce cs ~label:(Printf.sprintf "missing[%d]" j) (v miss) (v m) [];
+        enforce cs ~label:(Printf.sprintf "missing[%d]" j) (v miss) (v m) (c Fp.zero);
         m)
       v_cts
   in
-  ignore n;
-  (cs, v_rho, v_m, v_rewards)
+  (v_rho, v_m, v_rewards)
 
 (* Majority / majority-with-quota tail. *)
-let synthesize_majority ~choices ~quota (cs, v_rho, v_m, v_rewards) =
+let synthesize_majority cs ~choices ~quota (v_rho, v_m, v_rewards) =
   let open Gadgets in
   let n = Array.length v_m in
-  let count_bits = bits_for (n + 1) in
+  (* Counts are at most n; the quota comparison decomposes
+     count - quota + 2^bits, so it also needs quota <= 2^bits (a larger
+     quota would make every instruction unsatisfiable). *)
+  let count_bits = bits_for (max (n + 1) quota) in
   (* eq_jc: answer j encodes choice c (encoding c+1). *)
   let eq_tbl =
     Array.map (fun m -> Array.init choices (fun ch -> eq cs (v m) (ci (ch + 1)))) v_m
   in
   let count ch =
-    Array.fold_left (fun acc row -> acc +: v row.(ch)) [] eq_tbl
+    Array.fold_left (fun acc row -> acc +: v row.(ch)) (c Fp.zero) eq_tbl
   in
   (* Arg-max with ties to the smallest choice. *)
   let best_count = ref (count 0) in
@@ -96,33 +98,35 @@ let synthesize_majority ~choices ~quota (cs, v_rho, v_m, v_rewards) =
       let correct = eq cs (v m) maj_enc in
       match gate with
       | None ->
-        Cs.enforce cs ~label:(Printf.sprintf "reward[%d]" j) (v v_rho) (v correct)
+        enforce cs ~label:(Printf.sprintf "reward[%d]" j) (v v_rho) (v correct)
           (v v_rewards.(j))
       | Some gate ->
         let base = mul cs (v v_rho) (v correct) in
-        Cs.enforce cs ~label:(Printf.sprintf "reward[%d]" j) (v base) gate (v v_rewards.(j)))
-    v_m;
-  cs
+        enforce cs ~label:(Printf.sprintf "reward[%d]" j) (v base) gate (v v_rewards.(j)))
+    v_m
 
 (* Reverse auction tail: rank every slot by (bid, submission index), pay the
    [k] best a (k+1)-price clamped by [rho] (the per-winner cap). *)
-let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
+let synthesize_auction cs ~winners ~max_bid (v_rho, v_m, v_rewards) =
   let open Gadgets in
   let n = Array.length v_m in
   let s_bound = max_bid + 2 in
   let s_bits = bits_for s_bound in
-  let rank_bits = bits_for (n + 1) in
+  (* Ranks are below n; rank < winners decomposes rank - winners + 2^bits,
+     so it also needs winners <= 2^bits (more winners would make every
+     instruction unsatisfiable). *)
+  let rank_bits = bits_for (max (n + 1) winners) in
   (* Valid bids: m encodes bid+1 in [1, max_bid+1].  eq against each value
      is sound on unbounded field elements (unlike a range decomposition). *)
   let sort_keys =
     Array.map
       (fun m ->
         let eqs = Array.init (max_bid + 1) (fun b -> eq cs (v m) (ci (b + 1))) in
-        let valid = Array.fold_left (fun acc e -> acc +: v e) [] eqs in
+        let valid = Array.fold_left (fun acc e -> acc +: v e) (c Fp.zero) eqs in
         let bid =
           Array.to_list eqs
           |> List.mapi (fun b e -> scale (Fp.of_int b) (v e))
-          |> List.concat
+          |> List.fold_left ( +: ) (c Fp.zero)
         in
         (* s = bid when valid, max_bid+1 when invalid *)
         let s = bid +: scale (Fp.of_int (max_bid + 1)) (c Fp.one -: valid) in
@@ -143,7 +147,7 @@ let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
   done;
   let ranks =
     Array.init n (fun j ->
-        let acc = ref [] in
+        let acc = ref (c Fp.zero) in
         for i = 0 to n - 1 do
           if i <> j then acc := !acc +: beats.(i).(j)
         done;
@@ -154,7 +158,7 @@ let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
   let at_rank_k =
     Array.init n (fun j -> eq cs ranks.(j) (ci winners))
   in
-  let has_loser = Array.fold_left (fun acc e -> acc +: v e) [] at_rank_k in
+  let has_loser = Array.fold_left (fun acc e -> acc +: v e) (c Fp.zero) at_rank_k in
   let price_raw =
     let acc = ref (scale (Fp.of_int max_bid) (c Fp.one -: has_loser)) in
     Array.iteri
@@ -176,29 +180,28 @@ let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
       let winner = mul cs in_top valid in
       let w_pay = mul cs (v winner) (v pay) in
       enforce_eq cs ~label:(Printf.sprintf "reward[%d]" j) (v w_pay) (v v_rewards.(j)))
-    ranks;
-  cs
+    ranks
 
-let synthesize ~policy ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
-  let front = synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts in
+let synthesize cs ~policy ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
+  Obs.with_span "reward.synth" @@ fun () ->
+  let front = synthesize_common cs ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts in
   match policy with
-  | Policy.Majority { choices } -> synthesize_majority ~choices ~quota:0 front
-  | Policy.Majority_threshold { choices; quota } -> synthesize_majority ~choices ~quota front
-  | Policy.Reverse_auction { winners; max_bid } -> synthesize_auction ~winners ~max_bid front
-
-let dummy_ct = Elgamal.missing
+  | Policy.Majority { choices } -> synthesize_majority cs ~choices ~quota:0 front
+  | Policy.Majority_threshold { choices; quota } -> synthesize_majority cs ~choices ~quota front
+  | Policy.Reverse_auction { winners; max_bid } -> synthesize_auction cs ~winners ~max_bid front
 
 (* The structure the trusted setup compiles (dummy inputs) — also what the
    static analyzer inspects. *)
-let constraint_system ~policy ~n =
-  if n <= 0 then invalid_arg "Reward_circuit.constraint_system: need n > 0";
-  synthesize ~policy ~n ~epk:Fp.one ~rho:0 ~cts:(Array.make n dummy_ct)
+let synthesize_dummy cs ~policy ~n =
+  if n <= 0 then invalid_arg "Reward_circuit.synthesize_dummy: need n > 0";
+  synthesize cs ~policy ~epk:Fp.one ~rho:0 ~cts:(Array.make n Elgamal.missing)
     ~rewards:(Array.make n 0)
     ~esk_bits:(Array.make Elgamal.exponent_bits false)
     ~plaintexts:(Array.make n Fp.zero)
 
+
 let setup ?(composition = Hash_composition.default) ~random_bytes ~policy ~n () =
-  let cs = constraint_system ~policy ~n in
+  let cs = Cs.record (fun cs -> synthesize_dummy cs ~policy ~n) in
   {
     policy;
     n;
@@ -223,7 +226,7 @@ let setup_cached ?(composition = Hash_composition.default) cache ~seed ~policy ~
   if n <= 0 then invalid_arg "Reward_circuit.setup_cached: need n > 0";
   let keys, shape =
     Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ~policy ~n ()) ~seed
-      (fun () -> constraint_system ~policy ~n)
+      (fun () -> Cs.record (fun cs -> synthesize_dummy cs ~policy ~n))
   in
   { policy; n; composition; keys; n_constraints = shape.Snark.Keycache.constraints }
 
@@ -261,9 +264,8 @@ let prove ~random_bytes t ~esk ~rho ~cts ~rewards =
       (fun ct -> if Elgamal.is_missing ct then Fp.zero else Elgamal.decrypt esk ct)
       cts
   in
-  let cs =
-    synthesize ~policy:t.policy ~n:t.n ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts
-  in
+  let cs = Cs.create_witness () in
+  synthesize cs ~policy:t.policy ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts;
   Snark.prove ~random_bytes t.keys.Snark.pk cs
 
 let verify ~vk_bytes ~epk ~rho ~cts ~rewards proof =

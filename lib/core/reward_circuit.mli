@@ -61,10 +61,29 @@ val setup_cached :
   n:int ->
   t
 
-(** The circuit synthesised at the setup's dummy assignment — the structure
-    {!setup} compiles, exposed for static analysis ([Zebra_lint]).
-    @raise Invalid_argument when [n <= 0]. *)
-val constraint_system : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t
+(** [synthesize cs ~policy ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts]
+    synthesises the reward circuit for [n = Array.length cts] slots on the
+    board [cs] under an [Obs] span ["reward.synth"].  Public inputs, in
+    order: [epk], [rho], each slot's [c1], [c2], then the [rewards];
+    witness: the secret-key bits (little-endian) and each slot's
+    plaintext ([Fp.zero] for a missing slot).  {!prove} runs it on a
+    witness-only board, the setup on a recording one. *)
+val synthesize :
+  Zebra_r1cs.Cs.t ->
+  policy:Policy.t ->
+  epk:Fp.t ->
+  rho:int ->
+  cts:Zebra_elgamal.Elgamal.ciphertext array ->
+  rewards:int array ->
+  esk_bits:bool array ->
+  plaintexts:Fp.t array ->
+  unit
+
+(** {!synthesize} at the setup's dummy assignment (every slot missing,
+    zero key bits): on a recording board ([Zebra_r1cs.Cs.record]) the
+    structure {!setup} compiles, exposed for static analysis
+    ([Zebra_lint]).  @raise Invalid_argument when [n <= 0]. *)
+val synthesize_dummy : Zebra_r1cs.Cs.t -> policy:Policy.t -> n:int -> unit
 
 val policy : t -> Policy.t
 val n : t -> int

@@ -1,5 +1,4 @@
 module Cs = Zebra_r1cs.Cs
-module Gadgets = Zebra_r1cs.Gadgets
 module Obs = Zebra_obs.Obs
 module Json = Zebra_obs.Json
 
@@ -150,7 +149,7 @@ type cview = {
 }
 
 let canon lc =
-  Gadgets.simplify lc
+  Cs.simplify lc
   |> List.map (fun (k, v) -> (Cs.int_of_var v, k))
   |> List.sort (fun (v1, _) (v2, _) -> compare v1 v2)
 
@@ -169,7 +168,7 @@ let collect cs =
 (* --- the analysis --- *)
 
 let describe_wire cs w =
-  match Cs.wire_label cs (Cs.var_of_int w) with
+  match Cs.wire_label cs (Cs.var_of_int cs w) with
   | Some l -> Printf.sprintf "wire %d (%s)" w l
   | None -> Printf.sprintf "wire %d" w
 
@@ -188,7 +187,7 @@ let finding ?wire ?wire_label ?constraint_index ?constraint_label rule message =
 let make_finding = finding
 
 let wire_finding cs rule w message =
-  finding rule message ~wire:w ?wire_label:(Cs.wire_label cs (Cs.var_of_int w))
+  finding rule message ~wire:w ?wire_label:(Cs.wire_label cs (Cs.var_of_int cs w))
 
 let constr_finding rule (c : cview) message =
   finding rule message ~constraint_index:c.idx ?constraint_label:c.clabel
@@ -309,7 +308,7 @@ let missing_booleanity cs views =
   let n = Cs.num_vars cs in
   let out = ref [] in
   for w = n - 1 downto 1 do
-    if is_bit_label (Cs.wire_label cs (Cs.var_of_int w)) && not (Hashtbl.mem bool_ok w) then
+    if is_bit_label (Cs.wire_label cs (Cs.var_of_int cs w)) && not (Hashtbl.mem bool_ok w) then
       out :=
         wire_finding cs "ZL030" w
           (Printf.sprintf "%s is declared boolean but no constraint enforces x*(x-1) = 0"
@@ -345,7 +344,7 @@ let recomposition_findings cs views bool_ok =
         match nonconst with
         | [ lc ] -> (
           let bits, _rest =
-            List.partition (fun (v, _) -> is_bit_label (Cs.wire_label cs (Cs.var_of_int v))) lc
+            List.partition (fun (v, _) -> is_bit_label (Cs.wire_label cs (Cs.var_of_int cs v))) lc
           in
           match bits with
           | [] ->
@@ -405,7 +404,7 @@ let jacobian_row cs (c : cview) ~min_col =
   in
   let lc_val l =
     List.fold_left
-      (fun acc (v, k) -> Fp.add acc (Fp.mul k (Cs.value cs (Cs.var_of_int v))))
+      (fun acc (v, k) -> Fp.add acc (Fp.mul k (Cs.value cs (Cs.var_of_int cs v))))
       Fp.zero l
   in
   let av = lc_val c.ca and bv = lc_val c.cb in

@@ -77,7 +77,7 @@ let pow5_gadget cs x =
    partial rounds would accumulate 3^57 terms. *)
 let mix_exprs state =
   Array.init width (fun i ->
-      let acc = ref [] in
+      let acc = ref (G.c Fp.zero) in
       for j = 0 to width - 1 do
         acc := G.( +: ) !acc (G.scale mds.(i).(j) state.(j))
       done;
@@ -101,7 +101,7 @@ let permute_gadget cs state =
    are both circuit constants (the IV/length-absorption step of
    hash_list_gadget) is computed natively and costs no constraints. *)
 let hash2_gadget cs a b =
-  match (G.as_const cs a, G.as_const cs b) with
+  match (G.as_const a, G.as_const b) with
   | Some ka, Some kb -> G.c (hash2 ka kb)
   | _ ->
     let out = permute_gadget cs [| G.c Fp.zero; a; b |] in

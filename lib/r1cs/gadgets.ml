@@ -1,47 +1,66 @@
-type expr = Cs.lc
+(* [value] is computed as the expression is built, so gadgets read a
+   witness in O(1).  [terms] is forced only by [enforce] on a recording
+   board; on a witness-only board no term list is ever built.  [const] is
+   structural — "built from constants only" — never derived from the
+   value, so both modes fold exactly the same sub-circuits. *)
+type expr = { value : Fp.t; const : bool; terms : Cs.lc Lazy.t }
 
-let v var : expr = [ (Fp.one, var) ]
-let c k : expr = if Fp.is_zero k then [] else [ (k, Cs.one_var) ]
+let lc e = Lazy.force e.terms
+
+let v var : expr =
+  {
+    value = Cs.var_value var;
+    const = Cs.int_of_var var = 0;
+    terms = Lazy.from_val [ (Fp.one, var) ];
+  }
+
+let c k : expr =
+  {
+    value = k;
+    const = true;
+    terms = Lazy.from_val (if Fp.is_zero k then [] else [ (k, Cs.one_var) ]);
+  }
+
 let ci n = c (Fp.of_int n)
 
-let ( +: ) (a : expr) (b : expr) : expr = a @ b
-let scale k (a : expr) : expr = if Fp.is_zero k then [] else List.map (fun (co, var) -> (Fp.mul k co, var)) a
+let ( +: ) (a : expr) (b : expr) : expr =
+  { value = Fp.add a.value b.value; const = a.const && b.const; terms = lazy (lc a @ lc b) }
+
+let scale k (a : expr) : expr =
+  if Fp.is_zero k then c Fp.zero
+  else
+    {
+      value = Fp.mul k a.value;
+      const = a.const;
+      terms = lazy (List.map (fun (co, var) -> (Fp.mul k co, var)) (lc a));
+    }
+
 let ( -: ) a b = a +: scale (Fp.neg Fp.one) b
 
-let eval = Cs.lc_value
+let eval e = e.value
+let as_const e = if e.const then Some e.value else None
+let simplify e = { e with terms = lazy (Cs.simplify (lc e)) }
 
-let simplify (e : expr) : expr =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (coeff, var) ->
-      match Hashtbl.find_opt tbl var with
-      | None ->
-        Hashtbl.replace tbl var coeff;
-        order := var :: !order
-      | Some c -> Hashtbl.replace tbl var (Fp.add c coeff))
-    e;
-  List.rev_map
-    (fun var -> (Hashtbl.find tbl var, var))
-    !order
-  |> List.filter (fun ((c : Fp.t), _) -> not (Fp.is_zero c))
+let enforce cs ?label a b c =
+  if Cs.recording cs then Cs.enforce cs ?label (lc a) (lc b) (lc c)
+  else Cs.enforce cs ?label [] [] []
 
 let mul cs ?label a b =
-  let out = Cs.alloc cs ?label (Fp.mul (eval cs a) (eval cs b)) in
-  Cs.enforce cs ?label a b (v out);
+  let out = Cs.alloc cs ?label (Fp.mul a.value b.value) in
+  enforce cs ?label a b (v out);
   out
 
 let square cs a = mul cs a a
 
 let inverse cs a =
-  let x = eval cs a in
+  let x = a.value in
   let out = Cs.alloc cs ~label:"inverse" (if Fp.is_zero x then Fp.zero else Fp.inv x) in
-  Cs.enforce cs ~label:"inverse" a (v out) (c Fp.one);
+  enforce cs ~label:"inverse" a (v out) (c Fp.one);
   out
 
-let enforce_eq cs ?label a b = Cs.enforce cs ?label (a -: b) (c Fp.one) []
+let enforce_eq cs ?label a b = enforce cs ?label (a -: b) (c Fp.one) (c Fp.zero)
 
-let enforce_bit cs x = Cs.enforce cs ~label:"booleanity" x (x -: c Fp.one) []
+let enforce_bit cs x = enforce cs ~label:"booleanity" x (x -: c Fp.one) (c Fp.zero)
 
 (* The "bit" wire-label prefix is a contract: Zebra_lint checks every wire
    so labelled carries a booleanity constraint. *)
@@ -54,12 +73,12 @@ let alloc_bit cs ?label b =
 (* out = 1 iff a = 0:  witness inv = a^-1 (or 0);
    constraints: a * inv = 1 - out  and  a * out = 0. *)
 let is_zero cs a =
-  let x = eval cs a in
+  let x = a.value in
   let zero = Fp.is_zero x in
   let out = Cs.alloc cs ~label:"is_zero.out" (if zero then Fp.one else Fp.zero) in
   let invw = Cs.alloc cs ~label:"is_zero.inv" (if zero then Fp.zero else Fp.inv x) in
-  Cs.enforce cs ~label:"is_zero/inv" a (v invw) (c Fp.one -: v out);
-  Cs.enforce cs ~label:"is_zero/out" a (v out) [];
+  enforce cs ~label:"is_zero/inv" a (v invw) (c Fp.one -: v out);
+  enforce cs ~label:"is_zero/out" a (v out) (c Fp.zero);
   out
 
 let eq cs a b = is_zero cs (a -: b)
@@ -68,13 +87,12 @@ let eq cs a b = is_zero cs (a -: b)
    expression, so gadgets returning boolean expressions (less_than, a
    complemented bit, ...) can steer a select without an adapter wire. *)
 let select cs ~cond a b =
-  let cv = eval cs cond in
-  let out = Cs.alloc cs ~label:"select" (if Fp.equal cv Fp.one then eval cs a else eval cs b) in
-  Cs.enforce cs ~label:"select" cond (a -: b) (v out -: b);
+  let out = Cs.alloc cs ~label:"select" (if Fp.equal cond.value Fp.one then a.value else b.value) in
+  enforce cs ~label:"select" cond (a -: b) (v out -: b);
   out
 
 let pack_bits bits =
-  let acc = ref [] in
+  let acc = ref (c Fp.zero) in
   let pow = ref Fp.one in
   Array.iter
     (fun b ->
@@ -85,7 +103,7 @@ let pack_bits bits =
 
 let bits_of_expr cs a n =
   if n > 253 then invalid_arg "Gadgets.bits_of_expr: too many bits for soundness";
-  let x = Nat.rem (Fp.to_nat (eval cs a)) (Nat.shift_left Nat.one n) in
+  let x = Nat.rem (Fp.to_nat a.value) (Nat.shift_left Nat.one n) in
   let bits = Array.init n (fun i -> alloc_bit cs (Nat.testbit x i)) in
   enforce_eq cs ~label:"bit recomposition" (pack_bits bits) a;
   bits
@@ -104,35 +122,25 @@ let less_than cs a b ~bits =
      regenerated for the Poseidon migration. *)
   c Fp.one -: v dbits.(bits)
 
-(* Forward declaration of as_const (defined below for MiMC); duplicated
-   check here to keep exp self-contained. *)
-let expr_const cs e =
-  if List.for_all (fun ((_ : Fp.t), var) -> var = Cs.one_var) e then Some (eval cs e) else None
-
 let exp cs ~base ~bits =
   let n = Array.length bits in
   if n = 0 then invalid_arg "Gadgets.exp: empty exponent";
   (* Square-and-multiply, msb first; sel_i = 1 + b_i (base - 1).  When the
      base is a circuit constant the selector is linear (2 constraints/bit
-     instead of 3). *)
-  let const_base = expr_const cs base in
-  let acc = ref (c Fp.one) in
+     instead of 3).  Every step's product is a fresh wire, the last one is
+     the result. *)
+  let const_base = as_const base in
+  let out = ref Cs.one_var in
   for i = n - 1 downto 0 do
-    let sq = square cs !acc in
+    let sq = square cs (v !out) in
     let sel =
       match const_base with
       | Some b -> c Fp.one +: scale (Fp.sub b Fp.one) (v bits.(i))
       | None -> c Fp.one +: v (mul cs (v bits.(i)) (base -: c Fp.one))
     in
-    acc := v (mul cs (v sq) sel)
+    out := mul cs (v sq) sel
   done;
-  (* The final value is already a single wire. *)
-  match !acc with
-  | [ (k, var) ] when Fp.equal k Fp.one -> var
-  | e ->
-    let out = Cs.alloc cs ~label:"exp" (eval cs e) in
-    enforce_eq cs (v out) e;
-    out
+  !out
 
 let pow7 cs x =
   let x2 = square cs x in
@@ -140,13 +148,11 @@ let pow7 cs x =
   let x6 = mul cs (v x4) (v x2) in
   mul cs (v x6) x
 
-(* Constant folding: an expression with only constant-wire terms needs no
+(* Constant folding: an expression built from constants only needs no
    constraints (used for the length-absorption step of mimc_hash, whose
    inputs are literals). *)
-let as_const = expr_const
-
 let mimc_encrypt cs ~key x =
-  match (as_const cs key, as_const cs x) with
+  match (as_const key, as_const x) with
   | Some k, Some m -> c (Zebra_mimc.Mimc.encrypt ~key:k m)
   | _ ->
     let acc = ref x in

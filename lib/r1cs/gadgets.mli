@@ -2,12 +2,15 @@
 
     Every gadget simultaneously (i) emits constraints and (ii) computes the
     witness values of the wires it allocates from the values already on the
-    board, so one synthesis function serves setup, proving and testing.
+    board, so one synthesis function serves setup, proving and testing, on
+    a recording board and on a witness-only one alike (see {!Cs}).
 
     Expressions ({!expr}) are linear combinations; building them costs no
-    constraints — only multiplications do. *)
+    constraints — only multiplications do.  An expression carries its
+    value, so reading it costs nothing; its term list is built only when
+    {!enforce} records it on a recording board. *)
 
-type expr = Cs.lc
+type expr
 
 (** {1 Expression building} *)
 
@@ -20,20 +23,32 @@ val ci : int -> expr
 val ( +: ) : expr -> expr -> expr
 val ( -: ) : expr -> expr -> expr
 val scale : Fp.t -> expr -> expr
-val eval : Cs.t -> expr -> Fp.t
+
+(** The expression's value, computed from the values its wires were
+    allocated with (O(1): it is carried, not recomputed). *)
+val eval : expr -> Fp.t
 
 (** [simplify e] merges duplicate-variable terms and drops zero
-    coefficients.  Expression building is pure list concatenation, so
-    iterated linear mixing (e.g. Poseidon's MDS layers) must canonicalise
-    between rounds or term counts grow exponentially. *)
+    coefficients ({!Cs.simplify}) when [e]'s terms are built.  Expression
+    building is list concatenation, so iterated linear mixing (e.g.
+    Poseidon's MDS layers) must canonicalise between rounds or term counts
+    grow exponentially.  On a witness-only board no terms are built, so it
+    costs nothing there. *)
 val simplify : expr -> expr
 
-(** [as_const cs e] is [Some (eval cs e)] when every term of [e] rides on
-    the constant-1 wire — i.e. the expression is a circuit constant — and
-    [None] otherwise.  Hash gadgets use it to fold constant prefixes
+(** [as_const e] is [Some (eval e)] when [e] was built from constants only
+    ({!c}, {!ci}, [v Cs.one_var] and sums and multiples of those; a
+    multiple by zero is the constant 0) — i.e. it is a circuit constant —
+    and [None] otherwise.  The test is structural,
+    never on the value, so a recording and a witness-only board fold the
+    same sub-circuits.  Hash gadgets use it to fold constant prefixes
     (length absorption, fixed IVs) to native computation, emitting zero
     constraints for them. *)
-val as_const : Cs.t -> expr -> Fp.t option
+val as_const : expr -> Fp.t option
+
+(** [enforce cs ?label a b c] adds the constraint [a * b = c]
+    ({!Cs.enforce}); on a witness-only board it only counts it. *)
+val enforce : Cs.t -> ?label:string -> expr -> expr -> expr -> unit
 
 (** {1 Core gadgets} *)
 

@@ -137,7 +137,7 @@ let test_less_than () =
       Alcotest.check fp
         (Printf.sprintf "%d < %d" a b)
         (if expected then Fp.one else Fp.zero)
-        (Gadgets.eval cs out);
+        (Gadgets.eval out);
       Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs))
     cases
 
@@ -156,7 +156,7 @@ let test_mimc_gadget_matches_native () =
   let key = fresh_fp () and x = fresh_fp () in
   let vk = Cs.alloc cs key and vx = Cs.alloc cs x in
   let out = Gadgets.mimc_encrypt cs ~key:(Gadgets.v vk) (Gadgets.v vx) in
-  Alcotest.check fp "gadget = native" (Mimc.encrypt ~key x) (Gadgets.eval cs out);
+  Alcotest.check fp "gadget = native" (Mimc.encrypt ~key x) (Gadgets.eval out);
   Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs)
 
 let test_mimc_hash_gadget_matches_native () =
@@ -164,7 +164,7 @@ let test_mimc_hash_gadget_matches_native () =
   let xs = List.init 3 (fun _ -> fresh_fp ()) in
   let vars = List.map (fun x -> Gadgets.v (Cs.alloc cs x)) xs in
   let out = Gadgets.mimc_hash cs vars in
-  Alcotest.check fp "hash gadget = native" (Mimc.hash_list xs) (Gadgets.eval cs out);
+  Alcotest.check fp "hash gadget = native" (Mimc.hash_list xs) (Gadgets.eval out);
   Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs)
 
 let test_merkle_gadget () =
@@ -194,14 +194,14 @@ let test_merkle_gadget () =
     let path_bits = Array.init depth (fun l -> Gadgets.alloc_bit cs ((idx lsr l) land 1 = 1)) in
     let siblings = Array.map (Cs.alloc cs) sibling_values in
     let out = Gadgets.merkle_root cs ~leaf:(Gadgets.v leaf) ~path_bits ~siblings in
-    Alcotest.check fp (Printf.sprintf "leaf %d root" idx) root (Gadgets.eval cs out);
+    Alcotest.check fp (Printf.sprintf "leaf %d root" idx) root (Gadgets.eval out);
     Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs)
   done
 
 let test_find_unsatisfied_label () =
   let cs = Cs.create () in
   let va = Cs.alloc cs Fp.one in
-  Cs.enforce cs ~label:"must-be-two" (Gadgets.v va) (Gadgets.c Fp.one) (Gadgets.ci 2);
+  Gadgets.enforce cs ~label:"must-be-two" (Gadgets.v va) (Gadgets.c Fp.one) (Gadgets.ci 2);
   Alcotest.(check (option string)) "label reported" (Some "must-be-two") (Cs.find_unsatisfied cs)
 
 let test_alloc_input_ordering () =
@@ -225,7 +225,7 @@ let prop_less_than_random =
       let cs = Cs.create () in
       let va = Cs.alloc cs (Fp.of_int a) and vb = Cs.alloc cs (Fp.of_int b) in
       let out = Gadgets.less_than cs (Gadgets.v va) (Gadgets.v vb) ~bits:16 in
-      Cs.is_satisfied cs && Fp.equal (Gadgets.eval cs out) (if a < b then Fp.one else Fp.zero))
+      Cs.is_satisfied cs && Fp.equal (Gadgets.eval out) (if a < b then Fp.one else Fp.zero))
 
 let () =
   Alcotest.run "r1cs"

@@ -163,6 +163,16 @@ let test_threshold_circuit () =
   Alcotest.(check (array int)) "gate open" [| 30; 30; 30 |] rewards;
   Alcotest.(check bool) "verifies" true (prove_and_verify fx ~budget:90 ~answers ~rewards)
 
+(* A quota no answer count can reach closes the gate; the circuit must
+   still accept the all-zero instruction (at the 2 bits that 3 slots alone
+   need, count - 8 + 2^2 is negative). *)
+let test_threshold_quota_above_slots () =
+  let fx = make_fixture ~policy:(Policy.Majority_threshold { choices = 3; quota = 8 }) ~n:3 in
+  let answers = some [ 0; 0; 0 ] in
+  let rewards = policy_rewards fx ~budget:90 answers in
+  Alcotest.(check (array int)) "gate closed" [| 0; 0; 0 |] rewards;
+  Alcotest.(check bool) "verifies" true (prove_and_verify fx ~budget:90 ~answers ~rewards)
+
 let test_auction_circuit () =
   let fx =
     make_fixture ~policy:(Policy.Reverse_auction { winners = 2; max_bid = 7 }) ~n:4
@@ -193,6 +203,18 @@ let test_auction_circuit_edge_cases () =
   let answers = some [ 3; 3; 3 ] in
   let rewards = policy_rewards fx ~budget:100 answers in
   Alcotest.(check (array int)) "ties" [| 3; 3; 0 |] rewards;
+  Alcotest.(check bool) "verifies" true (prove_and_verify fx ~budget:100 ~answers ~rewards)
+
+(* More winners than submission slots: every valid bid wins at the
+   reserve price.  The rank comparison must be wide enough for [winners]
+   (at the 2 bits that 3 slots alone need, rank - 5 + 2^2 is negative). *)
+let test_auction_more_winners_than_slots () =
+  let fx =
+    make_fixture ~policy:(Policy.Reverse_auction { winners = 5; max_bid = 7 }) ~n:3
+  in
+  let answers = [| Some 5; None; Some 3 |] in
+  let rewards = policy_rewards fx ~budget:100 answers in
+  Alcotest.(check (array int)) "all valid bids win" [| 7; 0; 7 |] rewards;
   Alcotest.(check bool) "verifies" true (prove_and_verify fx ~budget:100 ~answers ~rewards)
 
 let test_policy_circuit_agreement () =
@@ -246,8 +268,12 @@ let () =
       ( "variants",
         [
           Alcotest.test_case "threshold" `Quick test_threshold_circuit;
+          Alcotest.test_case "threshold quota above the slot count" `Quick
+            test_threshold_quota_above_slots;
           Alcotest.test_case "auction" `Quick test_auction_circuit;
           Alcotest.test_case "auction edges" `Quick test_auction_circuit_edge_cases;
+          Alcotest.test_case "auction with more winners than slots" `Quick
+            test_auction_more_winners_than_slots;
           Alcotest.test_case "policy/circuit agreement" `Slow test_policy_circuit_agreement;
           Alcotest.test_case "vk size" `Quick test_vk_size_grows_with_n;
         ] );

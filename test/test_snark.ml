@@ -75,7 +75,7 @@ let test_bad_witness_rejected () =
   let { Snark.pk; vk; _ } = keys_of cs in
   (* Claim a different public output than the real one. *)
   let claimed = Fp.add (Cs.public_inputs cs).(0) Fp.one in
-  Cs.set_value cs (Cs.var_of_int 1) claimed;
+  Cs.set_value cs (Cs.var_of_int cs 1) claimed;
   Alcotest.(check bool) "board unsatisfied" false (Cs.is_satisfied cs);
   let proof = Snark.prove ~random_bytes pk cs in
   Alcotest.(check bool) "rejected" false (Snark.verify vk ~public_inputs:[| claimed |] proof)
